@@ -8,8 +8,10 @@ from pathlib import Path
 import numpy as np
 
 from . import qnet
-from .env import Transition
+from .core import IntersectionSpec
+from .env import ActionSpace, Transition, decode_action, observe
 from .qnet import Adam, QNetwork
+from .sim import SimState
 
 REPLAY_CAPACITY = 360_000
 
@@ -188,6 +190,38 @@ class DQNAgent:
         qnet.soft_update(self.target, self.net, self.config.tau)
         self.updates_done += 1
         return loss
+
+
+class GreedyController:
+    """A DQN agent acting greedily as a `reset()`/`decide(state)` controller.
+
+    `meta` carries the stepping configuration `run_training` stores with a
+    checkpoint: `variant`, `action_mode` and `process`. Under "smdp" the agent
+    is inactive while yellow runs and on the tick the new phase lands, exactly
+    as `TrafficEnv.smdp_step` folds those ticks into one transition.
+    """
+
+    def __init__(self, agent: DQNAgent, spec: IntersectionSpec, meta: dict):
+        for key in ("variant", "action_mode", "process"):
+            if key not in meta:
+                raise ValueError(f"checkpoint meta lacks {key!r}")
+        if meta["process"] not in ("mdp", "smdp"):
+            raise ValueError(f"checkpoint meta has unknown process {meta['process']!r}")
+        self.agent = agent
+        self.variant = meta["variant"]
+        self.space = ActionSpace(meta["action_mode"], spec.n_phases)
+        self.smdp = meta["process"] == "smdp"
+
+    def reset(self) -> None:
+        pass
+
+    def decide(self, state: SimState) -> int:
+        sig = state.signal
+        landing = sig.time_in_phase == 0 and state.clock > 0
+        if self.smdp and (sig.yellow_remaining > 0 or landing):
+            return sig.current_phase
+        action = int(np.argmax(self.agent.q_values(observe(state, self.variant))))
+        return decode_action(self.space, action, sig.current_phase)
 
 
 CHECKPOINT_VERSION = 1

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from . import core, harness
-from .agents import load_checkpoint
+from .agents import GreedyController, load_checkpoint
 from .harness import ExperimentConfig
 from .sim import trajectory_rows
 
@@ -103,20 +103,10 @@ def cmd_eval(args) -> int:
         def on_tick(state):
             trace_rows.extend(trajectory_rows(state))
 
-    tt = harness.evaluate(
-        agent, spec, part,
-        mode=meta.get("process", "smdp"),
-        variant=meta["variant"],
-        action_mode=meta["action_mode"],
-        on_tick=on_tick,
-    )
+    tt = harness.evaluate(GreedyController(agent, spec, meta), spec, part, on_tick=on_tick)
     if args.trace is not None:
-        harness.write_csv(
-            args.trace,
-            ("tick", "vehicle", "lane", "position_m", "speed_ms", "status"),
-            [dict(zip(("tick", "vehicle", "lane", "position_m", "speed_ms", "status"), r))
-             for r in trace_rows],
-        )
+        columns = ("tick", "vehicle", "lane", "position_m", "speed_ms", "status")
+        harness.write_csv(args.trace, columns, [dict(zip(columns, r)) for r in trace_rows])
         print(f"trace: {args.trace}")
     print(f"avg travel time ({args.split}): {tt:.2f} s")
     return 0

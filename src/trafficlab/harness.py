@@ -13,10 +13,10 @@ from pathlib import Path
 import numpy as np
 
 from . import core, sim
-from .agents import DQNAgent, DQNConfig, load_checkpoint, save_checkpoint
+from .agents import DQNAgent, DQNConfig, GreedyController, load_checkpoint, save_checkpoint
 from .baselines import SotlParams, make_controller
 from .core import FlowDataset, IntersectionSpec
-from .env import ActionSpace, TrafficEnv, observation_dim, lane_capacity
+from .env import ActionSpace, TrafficEnv, lane_capacity, observation_dim, reward
 
 # Figure-of-merit bookkeeping runs on weight updates; one epoch is 900 updates.
 UPDATES_PER_EPOCH = 900
@@ -66,6 +66,10 @@ class ExperimentConfig:
         base = path.parent
         config.intersection = str(_resolve(base, config.intersection))
         config.flows = [str(_resolve(base, f)) for f in config.flows]
+        config.controllers = [
+            f"dqn:{_resolve(base, c[4:])}" if c.startswith("dqn:") else c
+            for c in config.controllers
+        ]
         return config
 
 
@@ -85,58 +89,46 @@ def load_materials(config: ExperimentConfig):
                 profile,
                 seed=int(item["seed"]),
                 duration=int(item["duration"]),
-                label=item.get("label", item["profile"]),
+                label=item.get("label", f"{item['profile']}@seed{item['seed']}"),
             )
         )
     if not flows:
         raise ValueError("config names no flows")
+    labels = [flow.label or f"flow{k}" for k, flow in enumerate(flows)]  # as compare names them
+    for label in labels:
+        if labels.count(label) > 1:
+            raise ValueError(f"duplicate flow label {label!r}; give each flow its own label")
     return spec, flows
 
 
-def evaluate(policy, spec: IntersectionSpec, flow: FlowDataset, mode: str = "mdp",
-             variant: str = "wads", action_mode: str = "acyclic",
+def evaluate(policy, spec: IntersectionSpec, flow: FlowDataset,
              horizon: int | None = None, on_tick=None) -> float:
-    """Average travel time of one deterministic episode under the given policy.
+    """Average travel time of one deterministic episode under `policy`.
 
-    `policy` is either a controller (has .decide) consulted every second, or a
-    DQNAgent stepped greedily under `mode` ("mdp" or "smdp").
+    `policy` is any object with `reset()` and `decide(state) -> phase`: a
+    baseline controller or a `GreedyController` around a DQN agent. It is
+    consulted once per second, before the tick, until the flow's duration or
+    `horizon`; `on_tick(state)`, if given, runs after every tick.
     """
     if not flow.vehicles:
         raise ValueError("empty flow")
-    if hasattr(policy, "decide"):
-        state = sim.init(spec, flow)
-        policy.reset()
-        stop = flow.duration if horizon is None else horizon
-        while state.clock < stop:
-            sim.command_signal(state, policy.decide(state))
-            sim.tick(state)
-            if on_tick is not None:
-                on_tick(state)
-        return sim.avg_travel_time(state, flow)
-    tt, _ = greedy_rollout(policy, spec, flow, mode, variant, action_mode, horizon, on_tick)
-    return tt
-
-
-def greedy_rollout(agent: DQNAgent, spec: IntersectionSpec, flow: FlowDataset,
-                   mode: str, variant: str, action_mode: str,
-                   horizon: int | None = None, on_tick=None) -> tuple[float, float]:
-    """Run one greedy episode; returns (avg travel time, raw episode return)."""
-    env = TrafficEnv(
-        spec,
-        flow,
-        variant=variant,
-        action_mode=action_mode,
-        gamma=agent.config.gamma,
-        horizon=horizon,
-    )
-    obs = env.reset()
-    while not env.terminal:
-        action = int(np.argmax(agent.q_values(obs)))
-        transition = env.mdp_step(action) if mode == "mdp" else env.smdp_step(action)
+    state = sim.init(spec, flow)
+    policy.reset()
+    stop = flow.duration if horizon is None else horizon
+    while state.clock < stop:
+        sim.command_signal(state, policy.decide(state))
+        sim.tick(state)
         if on_tick is not None:
-            on_tick(env.state)
-        obs = transition.next_state
-    return sim.avg_travel_time(env.state, flow), env.raw_return
+            on_tick(state)
+    return sim.avg_travel_time(state, flow)
+
+
+def greedy_rollout(policy, spec: IntersectionSpec, flow: FlowDataset,
+                   horizon: int | None = None) -> tuple[float, float]:
+    """`evaluate` that also returns the raw (undiscounted) episode return."""
+    rewards = []
+    tt = evaluate(policy, spec, flow, horizon, lambda state: rewards.append(reward(state)))
+    return tt, sum(rewards, 0.0)
 
 
 @dataclass
@@ -151,8 +143,12 @@ def run_training(config: ExperimentConfig) -> TrainResult:
     """Train a DQN agent on the train flows, validating every eval_every epochs
     and checkpointing whenever the validation travel time improves."""
     spec, flows = load_materials(config)
-    holdout = config.holdout_index % len(flows)
-    if len(flows) >= 2:
+    n = len(flows)
+    if not -n <= config.holdout_index < n:
+        raise ValueError(f"holdout_index {config.holdout_index} is outside [-{n}, {n}) "
+                         f"for {n} flows")
+    holdout = config.holdout_index % n
+    if n >= 2:
         train_flows, val_flow, _ = core.split_dataset(flows, holdout)
     else:
         # Single-flow smoke setups: train on the full flow, validate on its first half.
@@ -177,6 +173,7 @@ def run_training(config: ExperimentConfig) -> TrainResult:
         "process": config.process,
         "intersection": core.intersection_to_document(spec),
     }
+    greedy = GreedyController(agent, spec, meta)
 
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -195,10 +192,7 @@ def run_training(config: ExperimentConfig) -> TrainResult:
 
     def run_eval() -> None:
         nonlocal best_val
-        val_tt, val_return = greedy_rollout(
-            agent, spec, val_flow, config.process, config.variant,
-            config.action_mode, config.horizon,
-        )
+        val_tt, val_return = greedy_rollout(greedy, spec, val_flow, config.horizon)
         row = {
             "epoch": agent.updates_done // UPDATES_PER_EPOCH,
             "weight_updates": agent.updates_done,
@@ -261,10 +255,8 @@ def compare(config: ExperimentConfig):
                 # repeats short-circuit so deterministic rows stay bit-exact.
                 tts = []
                 for r in range(repeats):
-                    policy, eval_kwargs = _build_policy(name, spec, sotl, config,
-                                                        seed_offset=r)
-                    tts.append(evaluate(policy, spec, part, horizon=config.horizon,
-                                        **eval_kwargs))
+                    policy = _build_policy(name, spec, sotl, config, seed_offset=r)
+                    tts.append(evaluate(policy, spec, part, horizon=config.horizon))
                 mean_tt = tts[0] if len(set(tts)) == 1 else sum(tts) / len(tts)
                 rows.append(
                     {
@@ -281,12 +273,8 @@ def _build_policy(name: str, spec: IntersectionSpec, sotl: SotlParams,
                   config: ExperimentConfig, seed_offset: int = 0):
     if name.startswith("dqn:"):
         agent, meta = load_checkpoint(name.split(":", 1)[1])
-        return agent, {
-            "mode": meta.get("process", config.process),
-            "variant": meta.get("variant", config.variant),
-            "action_mode": meta.get("action_mode", config.action_mode),
-        }
-    return make_controller(name, spec, sotl, seed=config.seed + seed_offset), {}
+        return GreedyController(agent, spec, meta)
+    return make_controller(name, spec, sotl, seed=config.seed + seed_offset)
 
 
 def qvalue_sweep(checkpoint_path, grid_max: int, lane_pair=None):

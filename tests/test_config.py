@@ -1,0 +1,63 @@
+"""Config boundary: flow labels, holdout range and config-relative paths."""
+
+import json
+
+import pytest
+
+from trafficlab import core, harness
+from trafficlab.agents import DQNAgent, DQNConfig, save_checkpoint
+from trafficlab.env import observation_dim
+from trafficlab.harness import ExperimentConfig
+
+UNIFORM = "uniform(rate_per_lane=0.05,n_lanes=4)"
+
+
+def write_config(tmp_path, spec, **doc):
+    (tmp_path / "intersection.json").write_text(json.dumps(core.intersection_to_document(spec)))
+    doc = {"intersection": "intersection.json", "controllers": ["fixed"], **doc}
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    return ExperimentConfig.from_file(tmp_path / "config.json")
+
+
+def test_default_labels_tell_seeds_of_one_profile_apart(tmp_path, two_phase_spec):
+    config = write_config(tmp_path, two_phase_spec, flow_profiles=[
+        {"profile": UNIFORM, "seed": s, "duration": 300} for s in (1, 2)])
+    rows = harness.compare(config)
+    assert len(rows) == 4
+    assert len({(r["flow"], r["split"]) for r in rows}) == 4
+    assert {r["flow"] for r in rows} == {f"{UNIFORM}@seed1", f"{UNIFORM}@seed2"}
+
+
+def test_duplicate_flow_labels_are_rejected(tmp_path, two_phase_spec):
+    config = write_config(tmp_path, two_phase_spec, flow_profiles=[
+        {"profile": UNIFORM, "seed": s, "duration": 300, "label": "same"} for s in (1, 2)])
+    with pytest.raises(ValueError, match="duplicate flow label 'same'"):
+        harness.load_materials(config)
+
+
+@pytest.mark.parametrize("index", [3, -4])
+def test_out_of_range_holdout_index_is_rejected(tmp_path, two_phase_spec, index):
+    config = write_config(tmp_path, two_phase_spec, holdout_index=index, total_epochs=0,
+                          out_dir=str(tmp_path / "run"), flow_profiles=[
+                              {"profile": UNIFORM, "seed": s, "duration": 300} for s in (1, 2, 3)])
+    with pytest.raises(ValueError, match=rf"holdout_index {index} .*3 flows"):
+        harness.run_training(config)
+
+
+def test_last_flow_holdout_still_works(tmp_path, two_phase_spec):
+    config = write_config(tmp_path, two_phase_spec, holdout_index=-1, total_epochs=0,
+                          out_dir=str(tmp_path / "run"), flow_profiles=[
+                              {"profile": UNIFORM, "seed": s, "duration": 300} for s in (1, 2, 3)])
+    assert len(harness.run_training(config).rows) == 1
+
+
+def test_checkpoint_controller_path_is_relative_to_the_config(tmp_path, two_phase_spec):
+    agent = DQNAgent(observation_dim("wad", 4, 2), 2, DQNConfig(seed=0))
+    (tmp_path / "ckpt").mkdir()
+    save_checkpoint(tmp_path / "ckpt" / "best.npz", agent, {
+        "variant": "wad", "action_mode": "acyclic", "process": "smdp"})
+    config = write_config(tmp_path, two_phase_spec, controllers=["fixed", "dqn:ckpt/best.npz"],
+                          flow_profiles=[{"profile": UNIFORM, "seed": 1, "duration": 300}])
+    assert config.controllers == ["fixed", f"dqn:{tmp_path / 'ckpt' / 'best.npz'}"]
+    rows = harness.compare(config)
+    assert {r["controller"] for r in rows} == set(config.controllers)

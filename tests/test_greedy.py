@@ -1,0 +1,115 @@
+"""The greedy DQN controller: equivalence with env stepping, meta checks, traces."""
+
+import csv
+import json
+
+import numpy as np
+import pytest
+
+from trafficlab import cli, core, harness, sim
+from trafficlab.agents import DQNAgent, DQNConfig, GreedyController, save_checkpoint
+from trafficlab.env import VARIANTS, ActionSpace, TrafficEnv, observation_dim
+
+TOY_PROFILE = ("clustered(cluster_size=4,inter_cluster_gap=15,within_gap=2,"
+               "lane_weights=0.5:0.2:0.25:0.05)")
+META = {"variant": "wad", "action_mode": "acyclic", "process": "smdp"}
+
+
+def reference_rollout(agent, spec, flow, meta, horizon):
+    """Greedy episode stepped through TrafficEnv as an MDP or an SMDP; returns
+    (travel time, raw return, number of phase changes)."""
+    env = TrafficEnv(spec, flow, variant=meta["variant"], action_mode=meta["action_mode"],
+                     gamma=agent.config.gamma, horizon=horizon)
+    step = env.mdp_step if meta["process"] == "mdp" else env.smdp_step
+    obs = env.reset()
+    changes = 0
+    while not env.terminal:
+        phase = env.state.signal.current_phase
+        obs = step(int(np.argmax(agent.q_values(obs)))).next_state
+        changes += env.state.signal.current_phase != phase
+    return sim.avg_travel_time(env.state, flow), env.raw_return, changes
+
+
+@pytest.mark.parametrize("process", ["mdp", "smdp"])
+@pytest.mark.parametrize("action_mode", ["cyclic", "acyclic"])
+@pytest.mark.parametrize("spec_name", ["two_phase_spec", "default_spec"])
+def test_greedy_controller_matches_env_stepping(request, spec_name, action_mode, process):
+    spec = request.getfixturevalue(spec_name)
+    profile = core.parse_profile(f"uniform(rate_per_lane=0.05,n_lanes={spec.n_lanes})")
+    flow = core.generate_flow(profile, seed=1, duration=400)
+    n_actions = ActionSpace(action_mode, spec.n_phases).size
+    changes = 0
+    for variant in VARIANTS:
+        meta = {"variant": variant, "action_mode": action_mode, "process": process}
+        for seed in (0, 1, 2):
+            agent = DQNAgent(observation_dim(variant, spec.n_lanes, spec.n_phases), n_actions,
+                             DQNConfig(seed=seed))
+            for horizon in (None, 233):
+                tt, ret, n = reference_rollout(agent, spec, flow, meta, horizon)
+                got = harness.greedy_rollout(GreedyController(agent, spec, meta), spec, flow,
+                                             horizon)
+                assert got == (tt, ret)
+                changes += n
+    assert changes > 0  # the cases exercise switching, so SMDP gating matters
+
+
+@pytest.mark.parametrize("missing", ["variant", "action_mode", "process"])
+def test_meta_without_a_stepping_field_is_rejected(two_phase_spec, missing):
+    agent = DQNAgent(observation_dim("wad", 4, 2), 2, DQNConfig(seed=0))
+    meta = {k: v for k, v in META.items() if k != missing}
+    with pytest.raises(ValueError, match=missing):
+        GreedyController(agent, two_phase_spec, meta)
+
+
+def test_meta_with_unknown_process_is_rejected(two_phase_spec):
+    agent = DQNAgent(observation_dim("wad", 4, 2), 2, DQNConfig(seed=0))
+    with pytest.raises(ValueError, match="process"):
+        GreedyController(agent, two_phase_spec, {**META, "process": "semi"})
+
+
+def test_compare_rejects_checkpoint_meta_without_process(tmp_path, two_phase_spec):
+    agent = DQNAgent(observation_dim("wad", 4, 2), 2, DQNConfig(seed=0))
+    save_checkpoint(tmp_path / "old.npz", agent, {"variant": "wad", "action_mode": "acyclic"})
+    (tmp_path / "intersection.json").write_text(
+        json.dumps(core.intersection_to_document(two_phase_spec)))
+    (tmp_path / "config.json").write_text(json.dumps({
+        "intersection": "intersection.json",
+        "flow_profiles": [{"profile": TOY_PROFILE, "seed": 1, "duration": 200}],
+        "controllers": [f"dqn:{tmp_path / 'old.npz'}"],
+    }))
+    with pytest.raises(ValueError, match="process"):
+        harness.compare(harness.ExperimentConfig.from_file(tmp_path / "config.json"))
+
+
+def test_eval_trace_of_smdp_checkpoint_covers_every_tick(tmp_path, two_phase_spec, monkeypatch):
+    """An always-advance cyclic SMDP network switches at every decision, so
+    most ticks are yellow or landing ticks that no transition ends on."""
+    meta = {"variant": "wad", "action_mode": "cyclic", "process": "smdp",
+            "intersection": core.intersection_to_document(two_phase_spec)}
+    agent = DQNAgent(observation_dim("wad", 4, 2), 2, DQNConfig(seed=0))
+    for w in agent.net.weights:
+        w[:] = 0.0
+    agent.net.biases[-1][:] = (0.0, 1.0)
+    save_checkpoint(tmp_path / "advance.npz", agent, meta)
+    flow = core.generate_flow(core.parse_profile(TOY_PROFILE), seed=3, duration=600)
+    (tmp_path / "flow.json").write_text(json.dumps(core.flow_to_document(flow)))
+
+    assert cli.main(["eval", "--checkpoint", str(tmp_path / "advance.npz"),
+                     "--flow", str(tmp_path / "flow.json"), "--split", "val",
+                     "--trace", str(tmp_path / "trace.csv")]) == 0
+    with open(tmp_path / "trace.csv", newline="") as fh:
+        traced = {int(row["tick"]) for row in csv.DictReader(fh)}
+
+    occupied = set()
+    real_tick = sim.tick
+
+    def tick(state):
+        real_tick(state)
+        if state.on_network():
+            occupied.add(state.clock)
+
+    monkeypatch.setattr(sim, "tick", tick)
+    val, _ = core.split_halves(flow)
+    reference_rollout(agent, two_phase_spec, val, meta, None)
+    assert len(occupied) > 200
+    assert traced == occupied
