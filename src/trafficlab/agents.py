@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -230,14 +231,15 @@ CHECKPOINT_VERSION = 1
 def save_checkpoint(path, agent: DQNAgent, meta: dict | None = None) -> None:
     """Write agent parameters, optimizer moments, config, and RNG state.
 
-    The round trip through load_checkpoint is bit-exact.
+    The round trip through load_checkpoint is bit-exact. The file is
+    replaced atomically: a save that fails leaves the previous one in place.
     """
     arrays = {"version": np.asarray(CHECKPOINT_VERSION, dtype=np.int64)}
     arrays.update(qnet.save_network_arrays("net", agent.net))
     arrays.update(qnet.save_network_arrays("target", agent.target))
-    for k, m in enumerate(agent.optimizer.m):
+    for k, m in enumerate(agent.net.split(agent.optimizer.m)):
         arrays[f"adam_m{k}"] = m
-    for k, v in enumerate(agent.optimizer.v):
+    for k, v in enumerate(agent.net.split(agent.optimizer.v)):
         arrays[f"adam_v{k}"] = v
     arrays["adam_t"] = np.asarray(agent.optimizer.t, dtype=np.int64)
     arrays["counters"] = np.asarray(
@@ -248,8 +250,14 @@ def save_checkpoint(path, agent: DQNAgent, meta: dict | None = None) -> None:
     arrays["rng_state"] = qnet.encode_json(agent.rng.bit_generator.state)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+    partial = path.with_name(path.name + ".tmp")
+    try:
+        with open(partial, "wb") as fh:
+            np.savez(fh, **arrays)
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> tuple[DQNAgent, dict]:
@@ -266,9 +274,10 @@ def load_checkpoint(path) -> tuple[DQNAgent, dict]:
         agent.target = qnet.load_network_arrays("target", data)
         agent.optimizer = Adam(agent.net, lr=config.lr)
         agent.optimizer.t = int(data["adam_t"])
-        for k in range(len(agent.optimizer.m)):
-            agent.optimizer.m[k][...] = data[f"adam_m{k}"]
-            agent.optimizer.v[k][...] = data[f"adam_v{k}"]
+        moments = zip(net.split(agent.optimizer.m), net.split(agent.optimizer.v))
+        for k, (m, v) in enumerate(moments):
+            m[...] = data[f"adam_m{k}"]
+            v[...] = data[f"adam_v{k}"]
         agent.transitions_seen, agent.updates_done = (int(x) for x in data["counters"])
         agent.rng.bit_generator.state = qnet.decode_json(data["rng_state"])
     return agent, meta

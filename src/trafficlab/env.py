@@ -109,6 +109,12 @@ class TrafficEnv:
     mdp_step advances one second per decision; smdp_step folds the whole
     yellow period of a switch into a single variable-duration transition with
     discount-weighted reward.
+
+    `env.state` advances only through `reset` and the steps: a step's
+    `Transition.state` is the observation the env last returned (from `reset`
+    or as the previous step's `next_state`), not a fresh observe of
+    `env.state`, so a change made to `env.state` from outside shows only from
+    the next `next_state` on.
     """
 
     def __init__(
@@ -130,11 +136,13 @@ class TrafficEnv:
         self.horizon = flow.duration if horizon is None else horizon
         self.state: SimState | None = None
         self.raw_return = 0.0  # undiscounted per-tick reward sum this episode
+        self._observation: np.ndarray | None = None  # last returned; the next step's state
 
     def reset(self) -> np.ndarray:
         self.state = sim.init(self.spec, self.flow)
         self.raw_return = 0.0
-        return observe(self.state, self.variant)
+        self._observation = observe(self.state, self.variant)
+        return self._observation
 
     @property
     def terminal(self) -> bool:
@@ -149,15 +157,16 @@ class TrafficEnv:
     def mdp_step(self, action: int) -> Transition:
         if self.terminal:
             raise RuntimeError("cannot step a terminal episode")
-        before = observe(self.state, self.variant)
+        before = self._observation
         target = decode_action(self.action_space, action, self.state.signal.current_phase)
         sim.command_signal(self.state, target)
         r = self._tick_reward()
+        self._observation = observe(self.state, self.variant)
         return Transition(
             state=before,
             action=action,
             reward=r,
-            next_state=observe(self.state, self.variant),
+            next_state=self._observation,
             duration=1,
             terminal=self.terminal,
         )
@@ -167,7 +176,7 @@ class TrafficEnv:
             raise RuntimeError("cannot step a terminal episode")
         if self.state.signal.yellow_remaining > 0:
             raise RuntimeError("smdp_step owns the yellow period; the simulator is mid-yellow")
-        before = observe(self.state, self.variant)
+        before = self._observation
         current = self.state.signal.current_phase
         target = decode_action(self.action_space, action, current)
         if target == current:
@@ -182,11 +191,12 @@ class TrafficEnv:
                 duration += 1
                 if self.terminal:
                     break
+        self._observation = observe(self.state, self.variant)
         return Transition(
             state=before,
             action=action,
             reward=r,
-            next_state=observe(self.state, self.variant),
+            next_state=self._observation,
             duration=duration,
             terminal=self.terminal,
         )

@@ -246,6 +246,8 @@ def compare(config: ExperimentConfig):
     repeats = max(1, config.repeats)
     rows = []
     for name in config.controllers:
+        # A greedy DQN holds no episode state, so its checkpoint loads once.
+        greedy = _build_policy(name, spec, sotl, config) if name.startswith("dqn:") else None
         for k, flow in enumerate(flows):
             label = flow.label or f"flow{k}"
             val, test = core.split_halves(flow)
@@ -255,7 +257,7 @@ def compare(config: ExperimentConfig):
                 # repeats short-circuit so deterministic rows stay bit-exact.
                 tts = []
                 for r in range(repeats):
-                    policy = _build_policy(name, spec, sotl, config, seed_offset=r)
+                    policy = greedy or _build_policy(name, spec, sotl, config, seed_offset=r)
                     tts.append(evaluate(policy, spec, part, horizon=config.horizon))
                 mean_tt = tts[0] if len(set(tts)) == 1 else sum(tts) / len(tts)
                 rows.append(

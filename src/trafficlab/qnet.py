@@ -10,24 +10,33 @@ HIDDEN = (64, 64)
 
 
 class QNetwork:
-    """Affine-ReLU-affine-ReLU-affine map from a state vector to K action values."""
+    """Affine-ReLU-affine-ReLU-affine map from a state vector to K action values.
+
+    All parameters live in one contiguous float64 vector, `flat`, laid out as
+    w0, b0, w1, b1, ...; `weights[k]` and `biases[k]` are views into it. Write
+    into them (`w[...] = ...`); rebinding one detaches it from `flat`.
+    """
 
     def __init__(self, layer_sizes, rng: np.random.Generator | None = None):
         self.layer_sizes = tuple(int(s) for s in layer_sizes)
         if len(self.layer_sizes) < 2:
             raise ValueError("need at least input and output layers")
-        self.weights = []
-        self.biases = []
+        self._layout = []
+        offset = 0
         for fan_in, fan_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
-            bound = 1.0 / np.sqrt(fan_in)
-            if rng is None:
-                w = np.zeros((fan_in, fan_out))
-                b = np.zeros(fan_out)
-            else:
-                w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-                b = rng.uniform(-bound, bound, size=fan_out)
-            self.weights.append(w)
-            self.biases.append(b)
+            for shape in ((fan_in, fan_out), (fan_out,)):
+                size = int(np.prod(shape))
+                self._layout.append((offset, offset + size, shape))
+                offset += size
+        self.flat = np.zeros(offset)
+        views = self.split(self.flat)
+        self.weights = views[0::2]
+        self.biases = views[1::2]
+        if rng is not None:
+            for w, b in zip(self.weights, self.biases):
+                bound = 1.0 / np.sqrt(w.shape[0])
+                w[...] = rng.uniform(-bound, bound, size=w.shape)
+                b[...] = rng.uniform(-bound, bound, size=b.shape)
 
     @classmethod
     def build(cls, in_dim: int, n_actions: int, rng: np.random.Generator) -> "QNetwork":
@@ -41,10 +50,13 @@ class QNetwork:
     def out_dim(self) -> int:
         return self.layer_sizes[-1]
 
+    def split(self, flat: np.ndarray) -> list:
+        """Per-parameter views (w0, b0, w1, b1, ...) into a vector laid out like `flat`."""
+        return [flat[start:stop].reshape(shape) for start, stop, shape in self._layout]
+
     def copy(self) -> "QNetwork":
         clone = QNetwork(self.layer_sizes)
-        clone.weights = [w.copy() for w in self.weights]
-        clone.biases = [b.copy() for b in self.biases]
+        clone.flat[...] = self.flat
         return clone
 
     def parameters(self):
@@ -53,15 +65,12 @@ class QNetwork:
             yield b
 
     def flat_parameters(self) -> np.ndarray:
-        return np.concatenate([p.ravel() for p in self.parameters()])
+        return self.flat.copy()
 
     def set_flat_parameters(self, flat: np.ndarray) -> None:
-        offset = 0
-        for p in self.parameters():
-            p[...] = flat[offset : offset + p.size].reshape(p.shape)
-            offset += p.size
-        if offset != flat.size:
+        if np.shape(flat) != self.flat.shape:
             raise ValueError("flat parameter vector has the wrong length")
+        self.flat[...] = flat
 
 
 def forward(net: QNetwork, states: np.ndarray) -> np.ndarray:
@@ -97,7 +106,8 @@ def _forward_cached(net: QNetwork, x: np.ndarray):
 def loss_and_grads(net: QNetwork, states, actions, targets):
     """Mean squared TD error over the batch and its gradient in net parameters.
 
-    Returns (loss, grad_weights, grad_biases) with grads shaped like the net.
+    Returns (loss, grad_weights, grad_biases) with grads shaped like the net:
+    views into one flat gradient vector laid out like `net.flat`.
     """
     x = np.asarray(states, dtype=np.float64)
     actions = np.asarray(actions, dtype=np.intp)
@@ -111,19 +121,20 @@ def loss_and_grads(net: QNetwork, states, actions, targets):
 
     dq = np.zeros_like(q)
     dq[np.arange(n), actions] = 2.0 * err / n
-    grad_w = [None] * len(net.weights)
-    grad_b = [None] * len(net.biases)
+    grads = net.split(np.empty_like(net.flat))
+    grad_w = grads[0::2]
+    grad_b = grads[1::2]
     delta = dq
     for k in range(len(net.weights) - 1, -1, -1):
-        grad_w[k] = acts[k].T @ delta
-        grad_b[k] = delta.sum(axis=0)
+        np.matmul(acts[k].T, delta, out=grad_w[k])
+        delta.sum(axis=0, out=grad_b[k])
         if k > 0:
             delta = (delta @ net.weights[k].T) * (pre[k - 1] > 0.0)
     return loss, grad_w, grad_b
 
 
 class Adam:
-    """Adam optimizer state for one QNetwork."""
+    """Adam optimizer state for one QNetwork; moments are flat like `net.flat`."""
 
     def __init__(self, net: QNetwork, lr: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -132,30 +143,49 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p) for p in net.parameters()]
-        self.v = [np.zeros_like(p) for p in net.parameters()]
+        self.m = np.zeros_like(net.flat)
+        self.v = np.zeros_like(net.flat)
+        self._step = np.empty_like(net.flat)
+        self._scale = np.empty_like(net.flat)
 
     def step(self, net: QNetwork, grad_w, grad_b) -> None:
-        grads = []
-        for gw, gb in zip(grad_w, grad_b):
-            grads.append(gw)
-            grads.append(gb)
+        """One update from the gradients `loss_and_grads` returns, which are
+        views into one flat gradient vector; it reads that vector directly."""
+        g = grad_w[0].base
+        if g is None or g.shape != net.flat.shape or any(
+            a.base is not g for a in (*grad_w, *grad_b)
+        ):
+            raise ValueError("gradients must be the views into one flat vector "
+                             "that loss_and_grads returns")
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        for p, g, m, v in zip(net.parameters(), grads, self.m, self.v):
-            m += (1.0 - self.beta1) * (g - m)
-            v += (1.0 - self.beta2) * (g * g - v)
-            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        m, v, step, scale = self.m, self.v, self._step, self._scale
+        # In place, with the elementwise ops and their order of
+        # m += (1 - beta1) * (g - m); v += (1 - beta2) * (g * g - v);
+        # p -= lr * (m / c1) / (sqrt(v / c2) + eps), so results are bit-identical.
+        np.subtract(g, m, out=step)
+        step *= 1.0 - self.beta1
+        m += step
+        np.multiply(g, g, out=step)
+        step -= v
+        step *= 1.0 - self.beta2
+        v += step
+        np.divide(m, c1, out=step)
+        step *= self.lr
+        np.divide(v, c2, out=scale)
+        np.sqrt(scale, out=scale)
+        scale += self.eps
+        step /= scale
+        net.flat -= step
 
 
 def soft_update(target: QNetwork, net: QNetwork, tau: float) -> None:
     """Move target parameters toward the live network: t := tau*p + (1-tau)*t."""
     if target.layer_sizes != net.layer_sizes:
         raise ValueError("architecture mismatch between target and live networks")
-    for t, p in zip(target.parameters(), net.parameters()):
-        t *= 1.0 - tau
-        t += tau * p
+    target.flat *= 1.0 - tau
+    target.flat += tau * net.flat
 
 
 def save_network_arrays(prefix: str, net: QNetwork) -> dict:

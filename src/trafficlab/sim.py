@@ -63,7 +63,20 @@ class SimState:
 
 
 def init(spec: IntersectionSpec, flow: FlowDataset) -> SimState:
-    """Fresh simulation at clock 0, phase 0, no yellow, empty network."""
+    """Fresh simulation at clock 0, phase 0, no yellow, empty network.
+
+    Rejects a flow that does not fit the spec: a movement id the spec lacks,
+    or a vehicle id used twice (travel times are keyed by id).
+    """
+    n_movements = len(spec.movements)
+    seen = set()
+    for vehicle in flow.vehicles:
+        if not 0 <= vehicle.movement_id < n_movements:
+            raise ValueError(f"vehicle {vehicle.id}: movement {vehicle.movement_id} is not "
+                             f"a movement of the intersection (0..{n_movements - 1})")
+        if vehicle.id in seen:
+            raise ValueError(f"vehicle {vehicle.id}: id is used by another vehicle of the flow")
+        seen.add(vehicle.id)
     state = SimState(spec=spec, flow=flow)
     state.lanes = [[] for _ in range(spec.n_lanes)]
     state.backlog = [deque() for _ in range(spec.n_lanes)]

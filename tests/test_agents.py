@@ -240,3 +240,35 @@ class TestCheckpoint:
             lb = b.observe(t)
             assert la == lb
         np.testing.assert_array_equal(a.net.flat_parameters(), b.net.flat_parameters())
+
+    def test_failed_save_leaves_previous_checkpoint(self, tmp_path, monkeypatch):
+        config = DQNConfig(batch_size=4, seed=2, eps_decay_steps=50)
+        agent = DQNAgent(4, 2, config)
+        path = tmp_path / "best.npz"
+        save_checkpoint(path, agent, {"round": 1})
+        before = path.read_bytes()
+        for k in range(10):
+            agent.observe(make_transition(seed=k))
+
+        def savez_that_fails(fh, **arrays):
+            fh.write(b"PK\x03\x04 partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", savez_that_fails)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, agent, {"round": 2})
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["best.npz"]
+        _, meta = load_checkpoint(path)
+        assert meta == {"round": 1}
+
+    def test_overwriting_save_keeps_the_same_bytes(self, tmp_path):
+        agent = DQNAgent(4, 2, DQNConfig(batch_size=4, seed=2))
+        for k in range(10):
+            agent.observe(make_transition(seed=k))
+        save_checkpoint(tmp_path / "fresh.npz", agent, {"a": 1})
+        path = tmp_path / "best.npz"
+        save_checkpoint(path, DQNAgent(4, 2, DQNConfig(seed=9)), {})
+        save_checkpoint(path, agent, {"a": 1})
+        assert path.read_bytes() == (tmp_path / "fresh.npz").read_bytes()

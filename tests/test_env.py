@@ -326,3 +326,19 @@ class TestTransitionInvariants:
             if t.duration == 1:
                 continue
             assert t.duration == two_phase_spec.yellow_duration + 1 or t.terminal
+
+
+class TestObservationReuse:
+    @pytest.mark.parametrize("process", ["mdp", "smdp"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_transition_state_is_the_pre_step_observation(self, default_spec, process, seed):
+        profile = core.UniformProfile(rate_per_lane=0.08, n_lanes=default_spec.n_lanes)
+        flow = core.generate_flow(profile, seed=seed, duration=300)
+        e = TrafficEnv(default_spec, flow, variant="wads", action_mode="acyclic")
+        step = e.mdp_step if process == "mdp" else e.smdp_step
+        rng = np.random.default_rng(seed)
+        e.reset()
+        while not e.terminal:
+            fresh = observe(e.state, "wads")
+            t = step(int(rng.integers(e.action_space.size)))
+            np.testing.assert_array_equal(t.state, fresh)

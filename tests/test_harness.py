@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from trafficlab import core, harness
-from trafficlab.agents import DQNAgent, DQNConfig, save_checkpoint
+from trafficlab.agents import (DQNAgent, DQNConfig, GreedyController, load_checkpoint,
+                               save_checkpoint)
 from trafficlab.baselines import make_controller, SotlParams
 from trafficlab.env import observation_dim
 from trafficlab.harness import ExperimentConfig, METRICS_COLUMNS, COMPARE_COLUMNS
@@ -164,6 +165,37 @@ class TestCompare:
         rows = harness.compare(config)
         assert {r["controller"] for r in rows} == {"fixed", f"dqn:{checkpoint}"}
         assert len(rows) == 4
+
+    def test_checkpoint_loads_once_per_compare(self, tmp_path, two_phase_spec, monkeypatch):
+        agent = DQNAgent(observation_dim("wad", 4, 2), 2, DQNConfig(seed=5))
+        checkpoint = tmp_path / "seeded.npz"
+        save_checkpoint(checkpoint, agent, {
+            "variant": "wad", "action_mode": "acyclic", "process": "mdp",
+            "intersection": core.intersection_to_document(two_phase_spec),
+        })
+        path = write_toy_config(tmp_path, controllers=[f"dqn:{checkpoint}"], repeats=2)
+        config = ExperimentConfig.from_file(path)
+        spec, flows = harness.load_materials(config)
+        expected = []  # one freshly loaded controller per episode, as before
+        for flow in flows:
+            for split, part in zip(("val", "test"), core.split_halves(flow)):
+                loaded, meta = load_checkpoint(checkpoint)
+                tt = harness.evaluate(GreedyController(loaded, spec, meta), spec, part)
+                expected.append({"controller": f"dqn:{checkpoint}", "flow": flow.label,
+                                 "split": split, "avg_travel_time_s": tt})
+
+        loads = []
+
+        def counting_load(p):
+            loads.append(p)
+            return load_checkpoint(p)
+
+        monkeypatch.setattr(harness, "load_checkpoint", counting_load)
+        rows = harness.compare(config)
+        assert len(loads) == 1
+        harness.write_csv(tmp_path / "got.csv", COMPARE_COLUMNS, rows)
+        harness.write_csv(tmp_path / "want.csv", COMPARE_COLUMNS, expected)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     def test_max_integral_beats_cutoff_on_clustered_multiphase(self, tmp_path,
                                                                four_singleton_spec):

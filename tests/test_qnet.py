@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from trafficlab import qnet
+from trafficlab.agents import DQNAgent, DQNConfig, load_checkpoint, save_checkpoint
 from trafficlab.qnet import Adam, QNetwork, forward, loss_and_grads, soft_update
 
 
@@ -189,3 +190,86 @@ class TestFlatParameters:
         net = QNetwork((2, 2))
         with pytest.raises(ValueError):
             net.set_flat_parameters(np.zeros(99))
+
+
+def reference_adam_step(params, grads, m, v, t, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam as one loop over per-layer arrays: the reference for the flat update."""
+    c1 = 1.0 - beta1 ** t
+    c2 = 1.0 - beta2 ** t
+    for p, g, mk, vk in zip(params, grads, m, v):
+        mk += (1.0 - beta1) * (g - mk)
+        vk += (1.0 - beta2) * (g * g - vk)
+        p -= lr * (mk / c1) / (np.sqrt(vk / c2) + eps)
+
+
+def reference_soft_update(target_params, params, tau):
+    for t, p in zip(target_params, params):
+        t *= 1.0 - tau
+        t += tau * p
+
+
+def assert_views_of_flat(net):
+    for p in net.parameters():
+        assert np.shares_memory(p, net.flat)
+    assert sum(p.size for p in net.parameters()) == net.flat.size
+
+
+class TestFlatLayout:
+    def test_flat_update_matches_per_layer_reference_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        net = QNetwork.build(6, 3, rng)
+        target = net.copy()
+        opt = Adam(net, lr=1e-3)
+        ref = [p.copy() for p in net.parameters()]
+        ref_target = [p.copy() for p in target.parameters()]
+        ref_m = [np.zeros_like(p) for p in ref]
+        ref_v = [np.zeros_like(p) for p in ref]
+        states = rng.normal(size=(32, 6))
+        actions = rng.integers(0, 3, size=32)
+        targets = rng.normal(size=32)
+        for t in range(1, 201):
+            _, gw, gb = loss_and_grads(net, states, actions, targets)
+            reference_adam_step(ref, [g for pair in zip(gw, gb) for g in pair],
+                                ref_m, ref_v, t)
+            opt.step(net, gw, gb)
+            reference_soft_update(ref_target, ref, 1e-2)
+            soft_update(target, net, 1e-2)
+        for got, want in zip(net.parameters(), ref):
+            np.testing.assert_array_equal(got, want)
+        for got, want in zip(target.parameters(), ref_target):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(opt.m, np.concatenate([m.ravel() for m in ref_m]))
+        np.testing.assert_array_equal(opt.v, np.concatenate([v.ravel() for v in ref_v]))
+
+    def test_parameters_are_views_of_flat(self, tmp_path):
+        net = QNetwork.build(5, 2, np.random.default_rng(0))
+        assert_views_of_flat(net)
+        clone = net.copy()
+        assert_views_of_flat(clone)
+        assert not np.shares_memory(clone.flat, net.flat)
+        clone.set_flat_parameters(np.arange(net.flat.size, dtype=float))
+        assert_views_of_flat(clone)
+        assert clone.weights[0][0, 1] == 1.0
+        agent = DQNAgent(5, 2, DQNConfig(seed=3))
+        save_checkpoint(tmp_path / "a.npz", agent, {})
+        loaded, _ = load_checkpoint(tmp_path / "a.npz")
+        assert_views_of_flat(loaded.net)
+        assert_views_of_flat(loaded.target)
+
+    def test_gradients_are_views_of_one_vector(self):
+        net = QNetwork.build(4, 2, np.random.default_rng(1))
+        _, gw, gb = loss_and_grads(net, np.ones((3, 4)), np.array([0, 1, 0]), np.zeros(3))
+        flat = gw[0].base
+        assert flat.shape == net.flat.shape
+        for g in (*gw, *gb):
+            assert g.base is flat
+
+    def test_step_rejects_gradients_from_elsewhere(self):
+        net = QNetwork.build(4, 2, np.random.default_rng(1))
+        opt = Adam(net)
+        _, gw, gb = loss_and_grads(net, np.ones((3, 4)), np.array([0, 1, 0]), np.zeros(3))
+        before = net.flat_parameters()
+        with pytest.raises(ValueError, match="loss_and_grads"):
+            opt.step(net, [g.copy() for g in gw], gb)
+        np.testing.assert_array_equal(net.flat, before)
+        assert opt.t == 0

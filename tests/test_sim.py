@@ -58,6 +58,19 @@ class TestInit:
         assert state.on_network() + state.in_backlog() == 1
         assert conservation_ok(state)
 
+    @pytest.mark.parametrize("movement", [4, -1])
+    def test_movement_outside_spec_rejected(self, two_phase_spec, movement):
+        # Used to load and then die mid-episode with an IndexError (or, for
+        # -1, silently route to the last lane).
+        flow = FlowDataset((Vehicle(0, 0, 0), Vehicle(7, 3, movement)), duration=60)
+        with pytest.raises(ValueError, match=rf"vehicle 7: movement {movement} "):
+            sim.init(two_phase_spec, flow)
+
+    def test_duplicate_vehicle_id_rejected(self, two_phase_spec):
+        flow = FlowDataset((Vehicle(5, 0, 0), Vehicle(6, 1, 1), Vehicle(5, 2, 2)), duration=60)
+        with pytest.raises(ValueError, match="vehicle 5: id is used by another vehicle"):
+            sim.init(two_phase_spec, flow)
+
     def test_init_is_pure(self, two_phase_spec, clustered_flow):
         a = sim.init(two_phase_spec, clustered_flow)
         b = sim.init(two_phase_spec, clustered_flow)
