@@ -156,11 +156,20 @@ class MaxIntegralController:
 
 
 def _detection_counts(state: SimState, detection_distance: float) -> list[int]:
-    """Vehicles (moving or waiting) within detection range of each stop line."""
+    """Vehicles (moving or waiting) within detection range of each stop line.
+
+    Lanes are front first with falling positions, so counting stops at the
+    first vehicle behind the detection edge.
+    """
     counts = []
     for j, lane in enumerate(state.lanes):
         edge = state.spec.lanes[j].length_m - detection_distance
-        counts.append(sum(1 for veh in lane if veh.position >= edge))
+        n = 0
+        for veh in lane:
+            if not veh.position >= edge:
+                break
+            n += 1
+        counts.append(n)
     return counts
 
 
@@ -168,9 +177,11 @@ def _approaching_near_line(state: SimState, lanes, detection_distance: float) ->
     total = 0
     for j in lanes:
         edge = state.spec.lanes[j].length_m - detection_distance
-        total += sum(
-            1 for veh in state.lanes[j] if veh.status == APPROACHING and veh.position >= edge
-        )
+        for veh in state.lanes[j]:
+            if not veh.position >= edge:
+                break
+            if veh.status == APPROACHING:
+                total += 1
     return total
 
 

@@ -182,6 +182,27 @@ class FlowDataset:
             last = v.spawn_time
 
 
+def check_flow(spec: IntersectionSpec, flow: FlowDataset) -> None:
+    """Reject a flow that does not fit the spec: a movement id the spec lacks,
+    a vehicle id used twice (travel times are keyed by id) or a body length
+    that is not positive (lanes keep their vehicles front first with falling
+    positions only if every jam spacing is positive)."""
+    n_movements = len(spec.movements)
+    seen = set()
+    for vehicle in flow.vehicles:
+        if not 0 <= vehicle.movement_id < n_movements:
+            problem = (f"movement {vehicle.movement_id} is not a movement of the "
+                       f"intersection (0..{n_movements - 1})")
+        elif vehicle.id in seen:
+            problem = "id is used by another vehicle of the flow"
+        elif not vehicle.body_length > 0:
+            problem = f"body length {vehicle.body_length} is not positive"
+        else:
+            seen.add(vehicle.id)
+            continue
+        raise ValueError(f"flow {flow.label!r}: vehicle {vehicle.id}: {problem}")
+
+
 def enumerate_phases(movements, conflict_matrix: ConflictMatrix, pair_size: int = 2):
     """All size-`pair_size` sets of mutually non-conflicting movements, in
     lexicographic order of their sorted member ids, with dense phase ids."""

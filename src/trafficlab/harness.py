@@ -79,7 +79,8 @@ def _resolve(base: Path, p: str) -> Path:
 
 
 def load_materials(config: ExperimentConfig):
-    """Resolve the intersection and flow set named by a config."""
+    """Resolve the intersection and flow set named by a config, refusing any
+    flow that does not fit the intersection before an episode runs."""
     spec = core.load_intersection(Path(config.intersection).read_text(encoding="utf-8"))
     flows = [core.load_flow(Path(f).read_text(encoding="utf-8")) for f in config.flows]
     for item in config.flow_profiles:
@@ -98,6 +99,8 @@ def load_materials(config: ExperimentConfig):
     for label in labels:
         if labels.count(label) > 1:
             raise ValueError(f"duplicate flow label {label!r}; give each flow its own label")
+    for flow in flows:
+        core.check_flow(spec, flow)
     return spec, flows
 
 
@@ -202,31 +205,37 @@ def run_training(config: ExperimentConfig) -> TrainResult:
             "transitions": agent.transitions_seen,
         }
         rows.append(row)
+        # Each row is flushed as it is produced, so an interrupted run keeps
+        # the validations it finished.
+        metrics.writerow([_format_cell(row[c]) for c in METRICS_COLUMNS])
+        metrics_file.flush()
         if val_tt < best_val:
             best_val = val_tt
             save_checkpoint(best_path, agent, meta)
 
-    run_eval()
-    eval_stride = config.eval_every * UPDATES_PER_EPOCH
-    next_eval = eval_stride
-    env_cycle = itertools.cycle(envs)
-    env = next(env_cycle)
-    obs = env.reset()
-    while agent.updates_done < total_updates:
-        action = agent.act(obs)
-        transition = env.mdp_step(action) if config.process == "mdp" else env.smdp_step(action)
-        agent.observe(transition)
-        obs = transition.next_state
-        if transition.terminal:
-            env = next(env_cycle)
-            obs = env.reset()
-        if agent.updates_done >= next_eval:
-            run_eval()
-            next_eval += eval_stride
-    if rows[-1]["weight_updates"] != agent.updates_done:
+    with open(metrics_path, "w", newline="", encoding="utf-8") as metrics_file:
+        metrics = csv.writer(metrics_file)
+        metrics.writerow(METRICS_COLUMNS)
         run_eval()
+        eval_stride = config.eval_every * UPDATES_PER_EPOCH
+        next_eval = eval_stride
+        env_cycle = itertools.cycle(envs)
+        env = next(env_cycle)
+        obs = env.reset()
+        while agent.updates_done < total_updates:
+            action = agent.act(obs)
+            transition = env.mdp_step(action) if config.process == "mdp" else env.smdp_step(action)
+            agent.observe(transition)
+            obs = transition.next_state
+            if transition.terminal:
+                env = next(env_cycle)
+                obs = env.reset()
+            if agent.updates_done >= next_eval:
+                run_eval()
+                next_eval += eval_stride
+        if rows[-1]["weight_updates"] != agent.updates_done:
+            run_eval()
 
-    write_csv(metrics_path, METRICS_COLUMNS, rows)
     return TrainResult(
         metrics_path=str(metrics_path),
         best_checkpoint=str(best_path),
@@ -252,11 +261,11 @@ def compare(config: ExperimentConfig):
             label = flow.label or f"flow{k}"
             val, test = core.split_halves(flow)
             for split, part in (("val", val), ("test", test)):
-                # Repeats only spread stochastic policies; the seed is offset
-                # per repeat and the reported value is the mean. Identical
-                # repeats short-circuit so deterministic rows stay bit-exact.
+                # Only the random controller is stochastic, so only it runs
+                # `repeats` times, its seed offset per repeat, and reports the
+                # mean; repeats that all agree report that value bit-exactly.
                 tts = []
-                for r in range(repeats):
+                for r in range(repeats if name == "random" else 1):
                     policy = greedy or _build_policy(name, spec, sotl, config, seed_offset=r)
                     tts.append(evaluate(policy, spec, part, horizon=config.horizon))
                 mean_tt = tts[0] if len(set(tts)) == 1 else sum(tts) / len(tts)

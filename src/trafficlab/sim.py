@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
-from .core import FlowDataset, IntersectionSpec
+from .core import FlowDataset, IntersectionSpec, check_flow
 
 WAITING = "waiting"
 APPROACHING = "approaching"
@@ -54,6 +55,10 @@ class SimState:
     spawned: int = 0
     # Derived lookup tables, not part of the semantic state.
     _lane_green: list = field(default_factory=list, compare=False, repr=False)
+    # Per lane, the length of the settled head of a red queue and its last
+    # vehicle; see tick.
+    _head: list = field(default_factory=list, compare=False, repr=False)
+    _head_last: list = field(default_factory=list, compare=False, repr=False)
 
     def on_network(self) -> int:
         return sum(len(lane) for lane in self.lanes)
@@ -65,21 +70,14 @@ class SimState:
 def init(spec: IntersectionSpec, flow: FlowDataset) -> SimState:
     """Fresh simulation at clock 0, phase 0, no yellow, empty network.
 
-    Rejects a flow that does not fit the spec: a movement id the spec lacks,
-    or a vehicle id used twice (travel times are keyed by id).
+    Rejects a flow that does not fit the spec (see `core.check_flow`).
     """
-    n_movements = len(spec.movements)
-    seen = set()
-    for vehicle in flow.vehicles:
-        if not 0 <= vehicle.movement_id < n_movements:
-            raise ValueError(f"vehicle {vehicle.id}: movement {vehicle.movement_id} is not "
-                             f"a movement of the intersection (0..{n_movements - 1})")
-        if vehicle.id in seen:
-            raise ValueError(f"vehicle {vehicle.id}: id is used by another vehicle of the flow")
-        seen.add(vehicle.id)
+    check_flow(spec, flow)
     state = SimState(spec=spec, flow=flow)
     state.lanes = [[] for _ in range(spec.n_lanes)]
     state.backlog = [deque() for _ in range(spec.n_lanes)]
+    state._head = [0] * spec.n_lanes
+    state._head_last = [None] * spec.n_lanes
     state._lane_green = [
         [j in spec.green_lanes(p) for j in range(spec.n_lanes)]
         for p in range(spec.n_phases)
@@ -105,41 +103,87 @@ def tick(state: SimState) -> None:
     yellow remains), then the signal counters update, then newly due vehicles
     join their lane backlog and at most one backlog head per lane enters at
     position 0 when the rearmost vehicle has cleared the jam spacing.
+
+    Lanes are front first with falling positions, so a green lane's exits are
+    a prefix of it. On a red lane the settled head (the front vehicle stopped
+    at the line and each follower stopped at its leader's jam cap) would get
+    the same position, speed and status again, so it is skipped. The head is
+    kept per lane across red ticks (a green tick clears it) and recomputed
+    from the front when the lane's list no longer holds the head's last
+    vehicle at its index, as after vehicles are put on the lane from outside.
     """
     spec = state.spec
     sig = state.signal
     greens = state._lane_green[sig.current_phase]
     crossing_open = sig.yellow_remaining == 0
+    heads = state._head
+    head_lasts = state._head_last
+    no_leader = math.inf
+    jam_gap = JAM_GAP_M
 
     for j, lane in enumerate(state.lanes):
         if not lane:
             continue
-        green = crossing_open and greens[j]
         length = spec.lanes[j].length_m
         vmax = spec.lanes[j].vmax_ms
-        leader_pos = None
-        leader_body = 0.0
-        kept = []
-        for veh in lane:
-            target = veh.position + vmax
-            if leader_pos is not None:
-                cap = leader_pos - (leader_body + JAM_GAP_M)
+        if crossing_open and greens[j]:
+            exits = 0
+            cap = no_leader
+            for veh in lane:
+                position = veh.position
+                target = position + vmax
                 if cap < target:
                     target = cap
-            if green and target >= length:
-                state.completed.append((veh.id, veh.spawn_time, state.clock + 1))
-                leader_pos = target
-                leader_body = veh.body_length
-                continue
+                if target >= length:
+                    state.completed.append((veh.id, veh.spawn_time, state.clock + 1))
+                    exits += 1
+                else:
+                    speed = target - position
+                    veh.speed = speed
+                    veh.position = target
+                    veh.status = WAITING if speed < WAITING_SPEED_MS else APPROACHING
+                cap = target - (veh.body_length + jam_gap)
+            if exits:
+                del lane[:exits]
+            heads[j] = 0
+            continue
+
+        settled = heads[j]
+        if settled and (settled > len(lane) or lane[settled - 1] is not head_lasts[j]):
+            settled = 0
+        if settled == len(lane):  # the whole lane stands still
+            continue
+        if settled:
+            leader = lane[settled - 1]
+            cap = leader.position - (leader.body_length + jam_gap)
+            rest = lane[settled:]
+        else:
+            cap = no_leader
+            rest = lane
+        growing = True  # every vehicle so far in `rest` joined the head
+        for veh in rest:
+            position = veh.position
+            target = position + vmax
+            if cap < target:
+                target = cap
             if target > length:
                 target = length
-            veh.speed = target - veh.position
+            speed = target - position
+            veh.speed = speed
             veh.position = target
-            veh.status = WAITING if veh.speed < WAITING_SPEED_MS else APPROACHING
-            leader_pos = target
-            leader_body = veh.body_length
-            kept.append(veh)
-        state.lanes[j] = kept
+            if speed < WAITING_SPEED_MS:
+                veh.status = WAITING
+                if growing and speed == 0.0:
+                    settled += 1
+                else:
+                    growing = False
+            else:
+                veh.status = APPROACHING
+                growing = False
+            cap = target - (veh.body_length + jam_gap)
+        heads[j] = settled
+        if settled:
+            head_lasts[j] = lane[settled - 1]
 
     if sig.yellow_remaining > 0:
         sig.yellow_remaining -= 1

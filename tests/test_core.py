@@ -274,3 +274,19 @@ class TestParseProfile:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             core.parse_profile("poisson(rate=1)")
+
+
+class TestCheckFlow:
+    def test_accepts_a_flow_that_fits(self, two_phase_spec, clustered_flow):
+        core.check_flow(two_phase_spec, clustered_flow)
+
+    def test_names_the_flow_and_the_vehicle(self, two_phase_spec):
+        flow = FlowDataset((Vehicle(0, 0, 0), Vehicle(3, 1, 9)), duration=60, label="east")
+        with pytest.raises(ValueError, match=r"flow 'east': vehicle 3: movement 9 is not"):
+            core.check_flow(two_phase_spec, flow)
+
+    @pytest.mark.parametrize("body", [0.0, -5.0, float("nan")])
+    def test_body_length_must_be_positive(self, two_phase_spec, body):
+        flow = FlowDataset((Vehicle(4, 0, 1, body_length=body),), duration=60, label="f")
+        with pytest.raises(ValueError, match=r"flow 'f': vehicle 4: body length .* not positive"):
+            core.check_flow(two_phase_spec, flow)

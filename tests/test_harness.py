@@ -289,3 +289,84 @@ class TestPearson:
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
             harness.pearson([1], [1])
+
+
+def seeded_checkpoint(tmp_path, spec):
+    agent = DQNAgent(observation_dim("wad", spec.n_lanes, spec.n_phases), 2, DQNConfig(seed=5))
+    path = tmp_path / "seeded.npz"
+    save_checkpoint(path, agent, {
+        "variant": "wad", "action_mode": "acyclic", "process": "mdp",
+        "intersection": core.intersection_to_document(spec),
+    })
+    return path
+
+
+def test_compare_repeats_only_the_random_controller(tmp_path, two_phase_spec, monkeypatch):
+    checkpoint = seeded_checkpoint(tmp_path, two_phase_spec)
+    controllers = ["fixed", "random", "sotl1", "sotl2", f"dqn:{checkpoint}"]
+    config = ExperimentConfig.from_file(
+        write_toy_config(tmp_path, controllers=controllers, repeats=3))
+    config.flow_profiles = config.flow_profiles[:1]
+    spec, flows = harness.load_materials(config)
+    expected = []  # every controller run `repeats` times, equal results collapsed
+    for name in controllers:
+        for flow in flows:
+            for split, part in zip(("val", "test"), core.split_halves(flow)):
+                tts = [harness.evaluate(harness._build_policy(name, spec, SotlParams(), config,
+                                                              seed_offset=r), spec, part)
+                       for r in range(3)]
+                expected.append({"controller": name, "flow": flow.label, "split": split,
+                                 "avg_travel_time_s": tts[0] if len(set(tts)) == 1
+                                 else sum(tts) / len(tts)})
+
+    episodes = []
+    evaluate = harness.evaluate
+
+    def counting_evaluate(policy, *args, **kwargs):
+        episodes.append(type(policy).__name__)
+        return evaluate(policy, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "evaluate", counting_evaluate)
+    rows = harness.compare(config)
+    assert episodes.count("RandomController") == 3 * 2
+    assert len(episodes) == 3 * 2 + 4 * 2
+    harness.write_csv(tmp_path / "got.csv", COMPARE_COLUMNS, rows)
+    harness.write_csv(tmp_path / "want.csv", COMPARE_COLUMNS, expected)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_a_flow_that_does_not_fit_fails_before_any_episode(tmp_path, monkeypatch):
+    config = ExperimentConfig.from_file(write_toy_config(tmp_path, controllers=["fixed"]))
+    # Five lane weights on the four-lane toy: every vehicle asks for movement 4.
+    config.flow_profiles[2] = {
+        "profile": "clustered(cluster_size=2,inter_cluster_gap=20,within_gap=2,"
+                   "lane_weights=0:0:0:0:1)",
+        "seed": 3, "duration": 600, "label": "wide",
+    }
+    episodes = []
+    monkeypatch.setattr(harness, "evaluate", lambda *args, **kwargs: episodes.append(args))
+    with pytest.raises(ValueError, match=r"flow 'wide': vehicle 0: movement 4 is not"):
+        harness.compare(config)
+    with pytest.raises(ValueError, match=r"flow 'wide': vehicle 0: movement 4 is not"):
+        harness.run_training(config)
+    assert episodes == []
+
+
+def test_metrics_rows_are_on_disk_as_validations_finish(tmp_path, monkeypatch):
+    config = ExperimentConfig.from_file(write_toy_config(tmp_path, total_epochs=1))
+    rollout = harness.greedy_rollout
+    validations = []
+
+    def interrupted_second_validation(*args, **kwargs):
+        validations.append(args)
+        if len(validations) == 2:
+            raise KeyboardInterrupt
+        return rollout(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "greedy_rollout", interrupted_second_validation)
+    with pytest.raises(KeyboardInterrupt):
+        harness.run_training(config)
+    rows = read_csv(Path(config.out_dir) / "metrics.csv")
+    assert rows[0] == list(METRICS_COLUMNS)
+    assert len(rows) == 2
+    assert rows[1][:2] == ["0", "0"]
