@@ -45,17 +45,21 @@ class DQNConfig:
 
 
 class ReplayBuffer:
-    """Ring buffer of transitions with uniform, with-replacement sampling."""
+    """Ring buffer of transitions with uniform, with-replacement sampling.
+
+    `state` and `next_state` share one (capacity, 2, dim) array, so a sample
+    gathers both with one fancy index; the arrays `sample` returns are views
+    of that fresh gather, which later calls do not touch.
+    """
 
     def __init__(self, capacity: int = REPLAY_CAPACITY):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self.count = 0
-        self._states = None
+        self._state_pairs = None
         self._actions = None
         self._rewards = None
-        self._next_states = None
         self._durations = None
         self._terminals = None
 
@@ -63,21 +67,20 @@ class ReplayBuffer:
         return min(self.count, self.capacity)
 
     def _allocate(self, dim: int) -> None:
-        self._states = np.empty((self.capacity, dim), dtype=np.float64)
-        self._next_states = np.empty((self.capacity, dim), dtype=np.float64)
+        self._state_pairs = np.empty((self.capacity, 2, dim), dtype=np.float64)
         self._actions = np.empty(self.capacity, dtype=np.int64)
         self._rewards = np.empty(self.capacity, dtype=np.float64)
         self._durations = np.empty(self.capacity, dtype=np.int64)
         self._terminals = np.empty(self.capacity, dtype=bool)
 
     def store(self, transition: Transition) -> None:
-        if self._states is None:
+        if self._state_pairs is None:
             self._allocate(transition.state.shape[0])
         idx = self.count % self.capacity
-        self._states[idx] = transition.state
+        self._state_pairs[idx, 0] = transition.state
         self._actions[idx] = transition.action
         self._rewards[idx] = transition.reward
-        self._next_states[idx] = transition.next_state
+        self._state_pairs[idx, 1] = transition.next_state
         self._durations[idx] = transition.duration
         self._terminals[idx] = transition.terminal
         self.count += 1
@@ -87,11 +90,12 @@ class ReplayBuffer:
         if size < n:
             raise ValueError(f"cannot sample {n} transitions from a buffer of {size}")
         idx = rng.integers(0, size, size=n)
+        pairs = self._state_pairs[idx]
         return (
-            self._states[idx],
+            pairs[:, 0],
             self._actions[idx],
             self._rewards[idx],
-            self._next_states[idx],
+            pairs[:, 1],
             self._durations[idx],
             self._terminals[idx],
         )

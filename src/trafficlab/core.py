@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 from dataclasses import dataclass
 
@@ -99,10 +100,10 @@ class Lane:
     vmax_ms: float = DEFAULT_VMAX_MS
 
     def __post_init__(self):
-        if self.length_m <= 0:
-            raise ValueError("lane length must be positive")
-        if self.vmax_ms <= 0:
-            raise ValueError("speed limit must be positive")
+        for name in ("length_m", "vmax_ms"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"lane {name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)

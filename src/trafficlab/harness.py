@@ -7,7 +7,7 @@ import csv
 import itertools
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +53,8 @@ class ExperimentConfig:
     repeats: int = 1
 
     def __post_init__(self):
+        _reject_unknown_keys("dqn", self.dqn, [f.name for f in fields(DQNConfig)])
+        _reject_unknown_keys("sotl", self.sotl, [f.name for f in fields(SotlParams)])
         if self.eval_every < 1:
             raise ValueError("eval_every must be at least 1")
         if self.process not in ("mdp", "smdp"):
@@ -62,6 +64,9 @@ class ExperimentConfig:
     def from_file(cls, path) -> "ExperimentConfig":
         path = Path(path)
         doc = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(doc, dict):
+            raise ValueError(f"config {path} must be a JSON object")
+        _reject_unknown_keys("config", doc, [f.name for f in fields(cls)])
         config = cls(**doc)
         base = path.parent
         config.intersection = str(_resolve(base, config.intersection))
@@ -71,6 +76,13 @@ class ExperimentConfig:
             for c in config.controllers
         ]
         return config
+
+
+def _reject_unknown_keys(where: str, doc: dict, accepted: list) -> None:
+    unknown = [key for key in doc if key not in accepted]
+    if unknown:
+        raise ValueError(f"unknown {where} key(s) {', '.join(map(repr, unknown))}; "
+                         f"accepted keys: {', '.join(accepted)}")
 
 
 def _resolve(base: Path, p: str) -> Path:

@@ -1,4 +1,14 @@
-"""Action-value network: a small numpy MLP with analytic gradients and Adam."""
+"""Action-value network: a small numpy MLP with analytic gradients and Adam.
+
+`forward` and `loss_and_grads` share one forward routine that writes into the
+network's workspace: activation, delta and ReLU-mask buffers, one set per batch
+size, made the first time that size is used and reused by every later call of
+that size. What the functions return is never workspace memory (Q values are
+copied out, gradients are views of a fresh vector), so a result stays valid
+across later calls. A workspace belongs to one network: `copy` makes the clone
+its own, checkpoints do not store it, and two threads must not run one network
+at once.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +17,17 @@ import json
 import numpy as np
 
 HIDDEN = (64, 64)
+
+
+class Workspace:
+    """Buffers for a batch of n states: `outputs[k]` and `deltas[k]` are
+    (n, layer_sizes[k + 1]), `masks[k]` is the bool ReLU mask of hidden layer k."""
+
+    def __init__(self, layer_sizes: tuple, n: int):
+        self.outputs = [np.empty((n, s)) for s in layer_sizes[1:]]
+        self.deltas = [np.empty((n, s)) for s in layer_sizes[1:]]
+        self.masks = [np.empty((n, s), dtype=bool) for s in layer_sizes[1:-1]]
+        self.rows = np.arange(n)
 
 
 class QNetwork:
@@ -29,6 +50,7 @@ class QNetwork:
                 self._layout.append((offset, offset + size, shape))
                 offset += size
         self.flat = np.zeros(offset)
+        self._workspaces: dict[int, Workspace] = {}
         views = self.split(self.flat)
         self.weights = views[0::2]
         self.biases = views[1::2]
@@ -54,6 +76,13 @@ class QNetwork:
         """Per-parameter views (w0, b0, w1, b1, ...) into a vector laid out like `flat`."""
         return [flat[start:stop].reshape(shape) for start, stop, shape in self._layout]
 
+    def workspace(self, n: int) -> Workspace:
+        """The buffers for batch size n, made on first use."""
+        ws = self._workspaces.get(n)
+        if ws is None:
+            ws = self._workspaces[n] = Workspace(self.layer_sizes, n)
+        return ws
+
     def copy(self) -> "QNetwork":
         clone = QNetwork(self.layer_sizes)
         clone.flat[...] = self.flat
@@ -73,63 +102,66 @@ class QNetwork:
         self.flat[...] = flat
 
 
+def _run(net: QNetwork, x: np.ndarray) -> Workspace:
+    """The forward pass of an (n, in_dim) batch, written into the net's
+    workspace for n: `outputs[k]` is layer k's output, ReLU'd for hidden layers."""
+    ws = net.workspace(x.shape[0])
+    h = x
+    last = len(net.weights) - 1
+    for k, (w, b, z) in enumerate(zip(net.weights, net.biases, ws.outputs)):
+        np.matmul(h, w, out=z)
+        np.add(z, b, out=z)
+        if k < last:
+            np.maximum(z, 0.0, out=z)
+        h = z
+    return ws
+
+
 def forward(net: QNetwork, states: np.ndarray) -> np.ndarray:
-    """Q values for one state vector or a batch of them."""
+    """Q values for one state vector or a batch of them, as a fresh array."""
     x = np.asarray(states, dtype=np.float64)
     single = x.ndim == 1
     if single:
         x = x[None, :]
     if x.shape[1] != net.in_dim:
         raise ValueError(f"state dimension {x.shape[1]} does not match network input {net.in_dim}")
-    h = x
-    last = len(net.weights) - 1
-    for k, (w, b) in enumerate(zip(net.weights, net.biases)):
-        h = h @ w + b
-        if k < last:
-            np.maximum(h, 0.0, out=h)
-    return h[0] if single else h
-
-
-def _forward_cached(net: QNetwork, x: np.ndarray):
-    activations = [x]
-    pre = []
-    h = x
-    last = len(net.weights) - 1
-    for k, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = h @ w + b
-        pre.append(z)
-        h = np.maximum(z, 0.0) if k < last else z
-        activations.append(h)
-    return pre, activations
+    q = _run(net, x).outputs[-1]
+    return q[0].copy() if single else q.copy()
 
 
 def loss_and_grads(net: QNetwork, states, actions, targets):
     """Mean squared TD error over the batch and its gradient in net parameters.
 
     Returns (loss, grad_weights, grad_biases) with grads shaped like the net:
-    views into one flat gradient vector laid out like `net.flat`.
+    views into one fresh flat gradient vector laid out like `net.flat`.
     """
     x = np.asarray(states, dtype=np.float64)
     actions = np.asarray(actions, dtype=np.intp)
     targets = np.asarray(targets, dtype=np.float64)
     n = x.shape[0]
-    pre, acts = _forward_cached(net, x)
+    ws = _run(net, x)
+    acts = [x] + ws.outputs
     q = acts[-1]
-    picked = q[np.arange(n), actions]
+    picked = q[ws.rows, actions]
     err = picked - targets
     loss = float(np.mean(err ** 2))
 
-    dq = np.zeros_like(q)
-    dq[np.arange(n), actions] = 2.0 * err / n
+    dq = ws.deltas[-1]
+    dq.fill(0.0)
+    dq[ws.rows, actions] = 2.0 * err / n
     grads = net.split(np.empty_like(net.flat))
     grad_w = grads[0::2]
     grad_b = grads[1::2]
-    delta = dq
     for k in range(len(net.weights) - 1, -1, -1):
+        delta = ws.deltas[k]
         np.matmul(acts[k].T, delta, out=grad_w[k])
         delta.sum(axis=0, out=grad_b[k])
         if k > 0:
-            delta = (delta @ net.weights[k].T) * (pre[k - 1] > 0.0)
+            # ReLU'(z) as relu(z) > 0, which holds exactly when z > 0 (NaN included).
+            below, mask = ws.deltas[k - 1], ws.masks[k - 1]
+            np.matmul(delta, net.weights[k].T, out=below)
+            np.greater(acts[k], 0.0, out=mask)
+            np.multiply(below, mask, out=below)
     return loss, grad_w, grad_b
 
 

@@ -96,6 +96,36 @@ class TestReplayBuffer:
         for xa, xb in zip(a, b):
             np.testing.assert_array_equal(xa, xb)
 
+    def test_one_gather_matches_per_field_gathers(self):
+        capacity, n = 16, 12
+        buf = ReplayBuffer(capacity=capacity)
+        slots = [None] * capacity
+        for k in range(27):  # wraps the ring
+            t = make_transition(dim=5, action=k % 3, reward=float(k), duration=k % 4 + 1,
+                                terminal=k % 5 == 0, seed=k)
+            buf.store(t)
+            slots[k % capacity] = t
+        fields = ("state", "action", "reward", "next_state", "duration", "terminal")
+        columns = [np.array([getattr(t, f) for t in slots]) for f in fields]
+        idx = np.random.default_rng(7).integers(0, capacity, size=n)
+        batch = buf.sample(n, np.random.default_rng(7))
+        for got, column in zip(batch, columns):
+            np.testing.assert_array_equal(got, column[idx])
+            assert got.dtype == column.dtype
+
+    def test_sample_is_not_changed_by_later_calls(self):
+        buf = ReplayBuffer(capacity=8)
+        for k in range(8):
+            buf.store(make_transition(reward=float(k), seed=k))
+        rng = np.random.default_rng(1)
+        batch = buf.sample(6, rng)
+        kept = [a.copy() for a in batch]
+        buf.sample(6, rng)
+        for k in range(8, 16):
+            buf.store(make_transition(reward=float(k), seed=k))
+        for got, want in zip(batch, kept):
+            np.testing.assert_array_equal(got, want)
+
     def test_underfilled_sampling_rejected(self):
         buf = ReplayBuffer(capacity=8)
         buf.store(make_transition())

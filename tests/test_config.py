@@ -61,3 +61,26 @@ def test_checkpoint_controller_path_is_relative_to_the_config(tmp_path, two_phas
     assert config.controllers == ["fixed", f"dqn:{tmp_path / 'ckpt' / 'best.npz'}"]
     rows = harness.compare(config)
     assert {r["controller"] for r in rows} == set(config.controllers)
+
+
+def test_unknown_config_key_is_rejected_by_name(tmp_path, two_phase_spec):
+    with pytest.raises(ValueError, match="'controlers'.*accepted keys: .*controllers"):
+        write_config(tmp_path, two_phase_spec, controlers=["fixed"], flows=[])
+
+
+def test_unknown_dqn_key_is_rejected_by_name(tmp_path, two_phase_spec):
+    with pytest.raises(ValueError, match=r"unknown dqn key\(s\) 'batchsize', 'lr_decay'; "
+                                         r"accepted keys: .*batch_size"):
+        write_config(tmp_path, two_phase_spec, dqn={"batchsize": 64, "lr_decay": 0.5, "lr": 1e-3})
+
+
+def test_unknown_sotl_key_is_rejected_by_name(tmp_path, two_phase_spec):
+    with pytest.raises(ValueError, match=r"unknown sotl key\(s\) 'treshold'; "
+                                         r"accepted keys: threshold, "):
+        write_config(tmp_path, two_phase_spec, sotl={"treshold": 10.0})
+
+
+def test_config_that_is_not_an_object_is_rejected(tmp_path):
+    (tmp_path / "config.json").write_text("[]")
+    with pytest.raises(ValueError, match="must be a JSON object"):
+        ExperimentConfig.from_file(tmp_path / "config.json")

@@ -161,6 +161,22 @@ class TestLoadIntersection:
         assert again == default_spec
 
 
+class TestLaneBounds:
+    @pytest.mark.parametrize("field", ["length_m", "vmax_ms"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
+    def test_lane_rejects_non_positive_or_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            core.Lane(**{field: value})
+
+    @pytest.mark.parametrize("field", ["length_m", "vmax_ms"])
+    @pytest.mark.parametrize("text", ['"NaN"', '"Infinity"', "NaN", "Infinity", "-Infinity"])
+    def test_load_intersection_rejects_non_finite(self, field, text):
+        doc = json.loads(json.dumps(MINIMAL_DOC))
+        doc["lanes"][1][field] = "@"
+        with pytest.raises(ValueError, match=field):
+            core.load_intersection(json.dumps(doc).replace('"@"', text))
+
+
 class TestGenerateFlow:
     def test_zero_rate_gives_empty_dataset(self):
         flow = core.generate_flow(UniformProfile(0.0, 4), seed=1, duration=100)

@@ -273,3 +273,146 @@ class TestFlatLayout:
             opt.step(net, [g.copy() for g in gw], gb)
         np.testing.assert_array_equal(net.flat, before)
         assert opt.t == 0
+
+
+def reference_forward(net: QNetwork, states: np.ndarray) -> np.ndarray:
+    """Q values for one state vector or a batch of them."""
+    x = np.asarray(states, dtype=np.float64)
+    single = x.ndim == 1
+    if single:
+        x = x[None, :]
+    if x.shape[1] != net.in_dim:
+        raise ValueError(f"state dimension {x.shape[1]} does not match network input {net.in_dim}")
+    h = x
+    last = len(net.weights) - 1
+    for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+        h = h @ w + b
+        if k < last:
+            np.maximum(h, 0.0, out=h)
+    return h[0] if single else h
+
+
+def _reference_forward_cached(net: QNetwork, x: np.ndarray):
+    activations = [x]
+    pre = []
+    h = x
+    last = len(net.weights) - 1
+    for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = h @ w + b
+        pre.append(z)
+        h = np.maximum(z, 0.0) if k < last else z
+        activations.append(h)
+    return pre, activations
+
+
+def reference_loss_and_grads(net: QNetwork, states, actions, targets):
+    """Mean squared TD error over the batch and its gradient in net parameters.
+
+    Returns (loss, grad_weights, grad_biases) with grads shaped like the net:
+    views into one flat gradient vector laid out like `net.flat`.
+    """
+    x = np.asarray(states, dtype=np.float64)
+    actions = np.asarray(actions, dtype=np.intp)
+    targets = np.asarray(targets, dtype=np.float64)
+    n = x.shape[0]
+    pre, acts = _reference_forward_cached(net, x)
+    q = acts[-1]
+    picked = q[np.arange(n), actions]
+    err = picked - targets
+    loss = float(np.mean(err ** 2))
+
+    dq = np.zeros_like(q)
+    dq[np.arange(n), actions] = 2.0 * err / n
+    grads = net.split(np.empty_like(net.flat))
+    grad_w = grads[0::2]
+    grad_b = grads[1::2]
+    delta = dq
+    for k in range(len(net.weights) - 1, -1, -1):
+        np.matmul(acts[k].T, delta, out=grad_w[k])
+        delta.sum(axis=0, out=grad_b[k])
+        if k > 0:
+            delta = (delta @ net.weights[k].T) * (pre[k - 1] > 0.0)
+    return loss, grad_w, grad_b
+
+
+class TestWorkspace:
+    """The workspace forward and backward against the allocating reference
+    above (the implementation they replaced), bit for bit."""
+
+    LAYERS = [(16,) + qnet.HIDDEN + (3,), (5, 9, 4)]
+
+    def assert_matches_reference(self, net, states, actions, targets):
+        np.testing.assert_array_equal(forward(net, states), reference_forward(net, states))
+        for row in states[:2]:
+            np.testing.assert_array_equal(forward(net, row), reference_forward(net, row))
+        loss, gw, gb = loss_and_grads(net, states, actions, targets)
+        ref_loss, ref_gw, ref_gb = reference_loss_and_grads(net, states, actions, targets)
+        np.testing.assert_array_equal(loss, ref_loss)  # NaN equals NaN here
+        for got, want in zip((*gw, *gb), (*ref_gw, *ref_gb)):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("layers", LAYERS)
+    def test_live_and_target_match_reference_over_interleaved_batch_sizes(self, layers):
+        rng = np.random.default_rng(5)
+        live = QNetwork(layers, rng)
+        target = live.copy()
+        opt = Adam(live, lr=1e-2)
+        for step, n in enumerate((1, 3, 32, 512, 3, 1, 512, 32) * 2):
+            states = rng.normal(size=(n, layers[0]))
+            actions = rng.integers(0, layers[-1], size=n)
+            targets = rng.normal(size=n)
+            # Replay hands over strided views of a (n, 2, dim) gather.
+            pairs = rng.normal(size=(n, 2, layers[0]))
+            for net in (target, live):
+                self.assert_matches_reference(net, states, actions, targets)
+                self.assert_matches_reference(net, pairs[:, 1], actions, targets)
+            _, gw, gb = loss_and_grads(live, states, actions, targets)
+            opt.step(live, gw, gb)
+            soft_update(target, live, 0.1)
+
+    def test_nan_activations_mask_like_reference(self):
+        net = QNetwork((4, 8, 8, 2), np.random.default_rng(2))
+        states = np.random.default_rng(3).normal(size=(6, 4))
+        states[2, 1] = np.nan
+        net.weights[1][0, 3] = np.inf
+        with np.errstate(invalid="ignore"):
+            self.assert_matches_reference(net, states, np.array([0, 1, 0, 1, 1, 0]), np.zeros(6))
+
+    def test_results_do_not_change_on_later_calls(self):
+        rng = np.random.default_rng(4)
+        net = QNetwork.build(6, 3, rng)
+        opt = Adam(net)
+        states = rng.normal(size=(32, 6))
+        actions = rng.integers(0, 3, size=32)
+        q_batch = forward(net, states)
+        q_single = forward(net, states[0])
+        loss, gw, gb = loss_and_grads(net, states, actions, np.zeros(32))
+        kept = [a.copy() for a in (q_batch, q_single, *gw, *gb)]
+        other = rng.normal(size=(32, 6))
+        forward(net, other)
+        forward(net, other[0])
+        _, gw2, gb2 = loss_and_grads(net, other, actions, np.ones(32))
+        opt.step(net, gw2, gb2)
+        for got, want in zip((q_batch, q_single, *gw, *gb), kept):
+            np.testing.assert_array_equal(got, want)
+
+    def test_copy_has_its_own_workspace(self):
+        net = QNetwork.build(6, 3, np.random.default_rng(6))
+        states = np.random.default_rng(7).normal(size=(32, 6))
+        forward(net, states)
+        clone = net.copy()
+        forward(clone, states)
+        a, b = net.workspace(32), clone.workspace(32)
+        for x, y in zip((*a.outputs, *a.deltas, *a.masks), (*b.outputs, *b.deltas, *b.masks)):
+            assert not np.shares_memory(x, y)
+        np.testing.assert_array_equal(forward(clone, states), forward(net, states))
+
+    def test_one_workspace_per_batch_size(self):
+        net = QNetwork.build(6, 3, np.random.default_rng(8))
+        rng = np.random.default_rng(9)
+        made = {n: net.workspace(n) for n in (1, 32)}
+        assert made[1] is not made[32]
+        for n in (1, 32, 1, 32):
+            q = forward(net, rng.normal(size=(n, 6)))
+            assert net.workspace(n) is made[n]
+            np.testing.assert_array_equal(made[n].outputs[-1], q)
