@@ -117,7 +117,9 @@ def td_targets(target_net: QNetwork, rewards, next_states, durations, terminals,
                gamma: float) -> np.ndarray:
     """y = r + gamma^duration * max_a' Q_target(s', a'), bootstrap dropped at terminals."""
     next_q = qnet.forward(target_net, next_states)
-    best_next = next_q.max(axis=1)
+    # An axis-0 max over the contiguous transpose runs one inner loop per
+    # action instead of one per row; max is exact, so the result is the same.
+    best_next = np.ascontiguousarray(next_q.T).max(axis=0)
     discount = np.power(gamma, np.asarray(durations, dtype=np.float64))
     return np.asarray(rewards, dtype=np.float64) + discount * best_next * (
         ~np.asarray(terminals, dtype=bool)

@@ -53,7 +53,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--grid-max", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--lanes", default=None, help="lane pair as 'a,b' (default: one per phase)")
+    p.add_argument("--lanes", type=_lane_pair, default=None,
+                   help="lane pair as 'a,b' (default: one per phase)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("genflow", help="generate a synthetic flow file")
@@ -122,12 +123,17 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def _lane_pair(text: str) -> tuple[int, int]:
+    try:
+        a, b = text.split(",")
+        return int(a), int(b)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"lanes must be two lane indices as 'a,b', got {text!r}") from None
+
+
 def cmd_sweep(args) -> int:
-    lane_pair = None
-    if args.lanes is not None:
-        a, b = args.lanes.split(",")
-        lane_pair = (int(a), int(b))
-    rows = harness.qvalue_sweep(args.checkpoint, args.grid_max, lane_pair)
+    rows = harness.qvalue_sweep(args.checkpoint, args.grid_max, args.lanes)
     harness.write_csv(
         args.out, ("n1", "n2", "q_keep", "q_switch", "q_switch_minus_q_keep"), rows
     )

@@ -28,43 +28,42 @@ def lane_capacity(length_m: float) -> int:
     return max(1, int(length_m // DEFAULT_MIN_SPACING_M))
 
 
+# A one-entry memo: the spec observed last and its per-lane divisors, one row
+# per block (capacity, capacity, length, speed limit). Observing another spec
+# only rebuilds it.
+_scales = (None, None)
+
+
 def observe(state: SimState, variant: str) -> np.ndarray:
     """Encode the world as a vector in [0, 1]^dim with a trailing phase one-hot.
 
     Counts normalize by lane capacity, distances by lane length, speeds by the
-    lane speed limit; all entries are clamped to [0, 1].
+    lane speed limit; all entries are clamped to [0, 1]. The numbers are the
+    clock's memoised `sim.lane_metrics`, divided block by block.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown state variant {variant!r}")
-    spec = state.spec
+    global _scales
+    out = np.zeros(observation_dim(variant, state.spec.n_lanes, state.spec.n_phases))
+    spec, scales = _scales
+    if spec is not state.spec:
+        spec = state.spec
+        scales = np.array([(lane_capacity(lane.length_m),) * 2 + (lane.length_m, lane.vmax_ms)
+                           for lane in spec.lanes], dtype=np.float64).T
+        _scales = (spec, scales)
     j = spec.n_lanes
-    metrics = sim.lane_metrics(state)
     blocks = _BLOCKS[variant]
-    out = np.zeros(blocks * j + spec.n_phases, dtype=np.float64)
-    for lane, (w, a, d, s) in enumerate(metrics):
-        cap = lane_capacity(spec.lanes[lane].length_m)
-        if variant == "combined":
-            out[lane] = (w + a) / cap
-        else:
-            out[lane] = w / cap
-            out[j + lane] = a / cap
-            if blocks >= 3:
-                out[2 * j + lane] = d / spec.lanes[lane].length_m
-            if blocks >= 4:
-                out[3 * j + lane] = s / spec.lanes[lane].vmax_ms
-    np.clip(out, 0.0, 1.0, out=out)
+    metrics = np.array(sim.lane_metrics(state), dtype=np.float64).T
+    if variant == "combined":
+        np.divide(metrics[0] + metrics[1], scales[0], out=out[:j])
+    else:
+        np.divide(metrics[:blocks], scales[:blocks], out=out[: blocks * j].reshape(blocks, j))
+    out.clip(0.0, 1.0, out=out)
     out[blocks * j + state.signal.current_phase] = 1.0
     return out
 
 
 def reward(state: SimState) -> float:
     """Negative total queue length (raw waiting-vehicle count over all lanes)."""
-    total = 0
-    for lane in state.lanes:
-        for veh in lane:
-            if veh.status == sim.WAITING:
-                total += 1
-    return -float(total)
+    return -float(sum(m[0] for m in sim.lane_metrics(state)))
 
 
 @dataclass(frozen=True)
@@ -154,29 +153,24 @@ class TrafficEnv:
         self.raw_return += r
         return r
 
+    def _transition(self, action: int, r: float, duration: int) -> Transition:
+        """The transition from the observation last returned to a fresh one."""
+        before = self._observation
+        self._observation = observe(self.state, self.variant)
+        return Transition(before, action, r, self._observation, duration, self.terminal)
+
     def mdp_step(self, action: int) -> Transition:
         if self.terminal:
             raise RuntimeError("cannot step a terminal episode")
-        before = self._observation
         target = decode_action(self.action_space, action, self.state.signal.current_phase)
         sim.command_signal(self.state, target)
-        r = self._tick_reward()
-        self._observation = observe(self.state, self.variant)
-        return Transition(
-            state=before,
-            action=action,
-            reward=r,
-            next_state=self._observation,
-            duration=1,
-            terminal=self.terminal,
-        )
+        return self._transition(action, self._tick_reward(), 1)
 
     def smdp_step(self, action: int) -> Transition:
         if self.terminal:
             raise RuntimeError("cannot step a terminal episode")
         if self.state.signal.yellow_remaining > 0:
             raise RuntimeError("smdp_step owns the yellow period; the simulator is mid-yellow")
-        before = self._observation
         current = self.state.signal.current_phase
         target = decode_action(self.action_space, action, current)
         if target == current:
@@ -191,12 +185,4 @@ class TrafficEnv:
                 duration += 1
                 if self.terminal:
                     break
-        self._observation = observe(self.state, self.variant)
-        return Transition(
-            state=before,
-            action=action,
-            reward=r,
-            next_state=self._observation,
-            duration=duration,
-            terminal=self.terminal,
-        )
+        return self._transition(action, r, duration)

@@ -306,7 +306,8 @@ def qvalue_sweep(checkpoint_path, grid_max: int, lane_pair=None):
     For every (n1, n2) in [0, grid_max]^2, build the observation with n1
     vehicles waiting on the first lane of the held phase and n2 on the
     opposing phase's lane, everything else empty, and report the action-value
-    gap between switching and keeping.
+    gap between switching and keeping. `lane_pair` is (held lane, opposing
+    lane); a pair that does not fit the spec is refused with a `ValueError`.
     """
     if grid_max < 1:
         raise ValueError("grid_max must be at least 1")
@@ -320,8 +321,17 @@ def qvalue_sweep(checkpoint_path, grid_max: int, lane_pair=None):
         raise ValueError("checkpoint action space does not match a two-phase sweep")
     if lane_pair is None:
         lane_pair = (min(spec.green_lanes(0)), min(spec.green_lanes(1)))
-    keep_phase = next(p for p in range(2) if lane_pair[0] in spec.green_lanes(p))
+    lane_pair = tuple(lane_pair)
+    if len(lane_pair) != 2 or not all(isinstance(k, int) for k in lane_pair):
+        raise ValueError(f"lanes must be two lane indices, got {lane_pair}")
+    # An index outside [0, n_lanes) is green in no phase, so this refuses it.
+    keep_phase = 0 if lane_pair[0] in spec.green_lanes(0) else 1
     switch_phase = 1 - keep_phase
+    if (lane_pair[0] not in spec.green_lanes(keep_phase)
+            or lane_pair[1] in spec.green_lanes(keep_phase)
+            or lane_pair[1] not in spec.green_lanes(switch_phase)):
+        raise ValueError(f"lanes {lane_pair}: need a lane of the spec and a lane green only "
+                         "in the phase that does not serve it")
 
     j = spec.n_lanes
     dim = observation_dim(variant, j, spec.n_phases)

@@ -59,6 +59,8 @@ class SimState:
     # vehicle; see tick.
     _head: list = field(default_factory=list, compare=False, repr=False)
     _head_last: list = field(default_factory=list, compare=False, repr=False)
+    # The clock of the last lane_metrics call and its result.
+    _metrics: tuple = field(default=(-1, ()), compare=False, repr=False)
 
     def on_network(self) -> int:
         return sum(len(lane) for lane in self.lanes)
@@ -228,15 +230,24 @@ def tick(state: SimState) -> None:
 
 def lane_metrics(state: SimState):
     """Per-lane (waiting count, approaching count, mean distance-to-line of
-    approaching, mean speed of approaching); means are 0 on empty lanes."""
+    approaching, mean speed of approaching); means are 0 on empty lanes.
+
+    Memoised per clock on the state as a tuple of tuples, so a change made from
+    outside between two calls at one clock is not seen by the second. A valid
+    settled head (see tick) stands at speed 0 and counts as waiting unvisited.
+    """
+    if state._metrics[0] == state.clock:
+        return state._metrics[1]
     out = []
     for j, lane in enumerate(state.lanes):
         length = state.spec.lanes[j].length_m
-        waiting = 0
+        waiting = state._head[j]
+        if waiting and (waiting > len(lane) or lane[waiting - 1] is not state._head_last[j]):
+            waiting = 0
         approaching = 0
         dist_sum = 0.0
         speed_sum = 0.0
-        for veh in lane:
+        for veh in lane[waiting:]:
             if veh.status == WAITING:
                 waiting += 1
             else:
@@ -247,7 +258,8 @@ def lane_metrics(state: SimState):
             out.append((waiting, approaching, dist_sum / approaching, speed_sum / approaching))
         else:
             out.append((waiting, 0, 0.0, 0.0))
-    return out
+    state._metrics = (state.clock, tuple(out))
+    return state._metrics[1]
 
 
 def avg_travel_time(state: SimState, flow: FlowDataset) -> float:

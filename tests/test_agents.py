@@ -153,6 +153,23 @@ class TestTdTargets:
         y = td_targets(net, [1.0], np.zeros((1, 4)), [1], [False], gamma=0.9)
         assert y[0] == pytest.approx(1.0 + 0.9 * 5.0)
 
+    @pytest.mark.parametrize("shape", [(1, 8), (32, 8), (512, 2)])
+    def test_best_next_value_is_the_row_max_bit_for_bit(self, monkeypatch, shape):
+        n, k = shape
+        rng = np.random.default_rng(n * k)
+        next_q = rng.standard_normal(shape) * 100.0
+        next_q[rng.random(shape) < 0.2] = 0.0
+        next_q[-1, k // 2] = np.nan  # a NaN row: its target must be NaN too
+        monkeypatch.setattr(qnet, "forward", lambda net, states: next_q.copy())
+        rewards = rng.standard_normal(n)
+        durations = rng.integers(1, 7, n)
+        terminals = rng.random(n) < 0.3
+        y = td_targets(None, rewards, np.zeros((n, 3)), durations, terminals, gamma=0.99)
+        expected = rewards + np.power(0.99, durations.astype(np.float64)) * next_q.max(
+            axis=1) * ~terminals
+        assert np.isnan(y[-1])
+        assert y.tobytes() == expected.tobytes()
+
 
 class TestTrainStep:
     def batch_of(self, transitions):

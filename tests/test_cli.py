@@ -2,11 +2,15 @@
 
 import csv
 import json
+import re
 from pathlib import Path
 
 import pytest
+from test_harness import reference_sweep_rows
 
-from trafficlab import cli, core
+from trafficlab import cli, core, harness
+from trafficlab.agents import DQNAgent, DQNConfig, load_checkpoint, save_checkpoint
+from trafficlab.env import observation_dim
 
 
 def run_cli(argv):
@@ -125,3 +129,52 @@ def test_sweep_lane_pair_flag(workspace):
                     "--grid-max", "2", "--out", str(out), "--lanes", "0,1"]) == 0
     with open(out, newline="") as fh:
         assert len(list(csv.reader(fh))) == 1 + 9
+
+
+@pytest.fixture()
+def sweep_checkpoint(tmp_path):
+    """A two-phase `wad` checkpoint (4 lanes, dim 14) with seeded weights."""
+    spec = core.two_phase_intersection(lane_length_m=150.0)
+    agent = DQNAgent(observation_dim("wad", 4, 2), 2, DQNConfig(seed=4))
+    path = tmp_path / "sweep.npz"
+    save_checkpoint(path, agent, {"variant": "wad", "action_mode": "acyclic", "process": "smdp",
+                                  "intersection": core.intersection_to_document(spec)})
+    return path
+
+
+def sweep_argv(checkpoint, out, *lanes):
+    return ["sweep", "--checkpoint", str(checkpoint), "--grid-max", "3", "--out", str(out),
+            *lanes]
+
+
+@pytest.mark.parametrize("lanes, shown", [
+    (["--lanes=0,-1"], "(0, -1)"),  # would write n2 into the phase one-hot
+    (["--lanes", "0,0"], "(0, 0)"),  # would overwrite n1 with n2
+    (["--lanes", "0,2"], "(0, 2)"),  # both lanes are green in phase 0
+    (["--lanes", "0,5"], "(0, 5)"),  # no lane 5 on a 4-lane spec
+])
+def test_sweep_refuses_an_unusable_lane_pair(tmp_path, sweep_checkpoint, lanes, shown):
+    out = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match=r"lanes .*" + re.escape(shown)):
+        run_cli(sweep_argv(sweep_checkpoint, out, *lanes))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["0", "0,1,2", "a,b", ""])
+def test_sweep_refuses_lanes_that_are_not_a_pair(tmp_path, sweep_checkpoint, capsys, text):
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli(sweep_argv(sweep_checkpoint, tmp_path / "out.csv", f"--lanes={text}"))
+    assert excinfo.value.code == 2
+    assert f"argument --lanes: lanes must be two lane indices as 'a,b', got {text!r}" in (
+        capsys.readouterr().err)
+
+
+def test_sweep_valid_pair_csv_is_unchanged(tmp_path, sweep_checkpoint):
+    out = tmp_path / "out.csv"
+    assert run_cli(sweep_argv(sweep_checkpoint, out, "--lanes", "1,0")) == 0
+    agent, _ = load_checkpoint(sweep_checkpoint)
+    expected = tmp_path / "expected.csv"
+    spec = core.two_phase_intersection(lane_length_m=150.0)
+    harness.write_csv(expected, ("n1", "n2", "q_keep", "q_switch", "q_switch_minus_q_keep"),
+                      reference_sweep_rows(agent, spec, "acyclic", (1, 0), 3))
+    assert out.read_bytes() == expected.read_bytes()

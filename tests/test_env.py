@@ -1,5 +1,6 @@
 """State encodings, reward, action decoding, and MDP/SMDP stepping tests."""
 
+import dataclasses
 import random
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 
 from trafficlab import core, env, sim
 from trafficlab.core import FlowDataset, Vehicle
-from trafficlab.env import ActionSpace, TrafficEnv, decode_action, observe, reward
-from trafficlab.sim import APPROACHING, WAITING, VehicleState
+from trafficlab.env import (_BLOCKS, VARIANTS, ActionSpace, TrafficEnv, decode_action,
+                            lane_capacity, observe, reward)
+from trafficlab.sim import APPROACHING, WAITING, SimState, VehicleState
 
 
 def empty_flow(duration=3600):
@@ -342,3 +344,112 @@ class TestObservationReuse:
             fresh = observe(e.state, "wads")
             t = step(int(rng.integers(e.action_space.size)))
             np.testing.assert_array_equal(t.state, fresh)
+
+
+def reference_observe(state: SimState, variant: str) -> np.ndarray:
+    """Encode the world as a vector in [0, 1]^dim with a trailing phase one-hot.
+
+    Counts normalize by lane capacity, distances by lane length, speeds by the
+    lane speed limit; all entries are clamped to [0, 1].
+    """
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown state variant {variant!r}")
+    spec = state.spec
+    j = spec.n_lanes
+    metrics = sim.lane_metrics(state)
+    blocks = _BLOCKS[variant]
+    out = np.zeros(blocks * j + spec.n_phases, dtype=np.float64)
+    for lane, (w, a, d, s) in enumerate(metrics):
+        cap = lane_capacity(spec.lanes[lane].length_m)
+        if variant == "combined":
+            out[lane] = (w + a) / cap
+        else:
+            out[lane] = w / cap
+            out[j + lane] = a / cap
+            if blocks >= 3:
+                out[2 * j + lane] = d / spec.lanes[lane].length_m
+            if blocks >= 4:
+                out[3 * j + lane] = s / spec.lanes[lane].vmax_ms
+    np.clip(out, 0.0, 1.0, out=out)
+    out[blocks * j + state.signal.current_phase] = 1.0
+    return out
+
+
+def reference_reward(state: SimState) -> float:
+    """Negative total queue length (raw waiting-vehicle count over all lanes)."""
+    total = 0
+    for lane in state.lanes:
+        for veh in lane:
+            if veh.status == sim.WAITING:
+                total += 1
+    return -float(total)
+
+
+def assert_matches_references(state):
+    for variant in env.VARIANTS:
+        obs, expected = observe(state, variant), reference_observe(state, variant)
+        assert obs.dtype == expected.dtype and obs.shape == expected.shape
+        assert obs.tobytes() == expected.tobytes(), variant
+    assert reward(state).hex() == reference_reward(state).hex()
+
+
+class TestReferenceEquivalence:
+    """`observe` and `reward` against the per-lane loop and the per-vehicle
+    count they replaced, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_states(self, two_phase_spec, default_spec, twelve_phase_spec, seed):
+        rng = random.Random(seed)
+        odd = dataclasses.replace(default_spec, lanes=tuple(
+            core.Lane(rng.uniform(8.0, 400.0), rng.uniform(0.5, 20.0))
+            for _ in default_spec.lanes))
+        for spec in (two_phase_spec, default_spec, twelve_phase_spec, odd):
+            for _ in range(25):
+                assert_matches_references(random_state(spec, rng))
+
+    def test_values_outside_the_unit_range_are_clamped_alike(self, two_phase_spec):
+        # Put from outside: past the stop line, over the speed limit, and more
+        # vehicles than the lane's capacity.
+        state = sim.init(two_phase_spec, empty_flow())
+        place(state, 0, 151.5, speed=12.0)
+        place(state, 1, 150.0, speed=-1.0)
+        for k in range(25):
+            place(state, 2, 150.0 - 5.0 * k, speed=3.0 * (k % 2))
+        assert_matches_references(state)
+        obs = observe(state, "wads")
+        assert obs.min() == 0.0 and obs.max() == 1.0
+
+    @pytest.mark.parametrize("process", ["mdp", "smdp"])
+    @pytest.mark.parametrize("layout", ["two-phase", "default"])
+    def test_along_episodes(self, monkeypatch, two_phase_spec, default_spec, clustered_flow,
+                            process, layout):
+        if layout == "two-phase":
+            spec, flow = two_phase_spec, clustered_flow
+        else:
+            spec = default_spec
+            flow = core.generate_flow(core.UniformProfile(rate_per_lane=0.1, n_lanes=8),
+                                      seed=5, duration=600)
+        ticks = []
+
+        def checked_reward(state):
+            ticks.append(state.clock)
+            r = reward(state)
+            assert r.hex() == reference_reward(state).hex(), state.clock
+            return r
+
+        monkeypatch.setattr(env, "reward", checked_reward)
+        e = TrafficEnv(spec, flow, variant="wads", action_mode="acyclic")
+        step = e.mdp_step if process == "mdp" else e.smdp_step
+        rng = np.random.default_rng(spec.n_lanes)
+        action = 0
+        skipped = 0  # vehicles in settled heads, summed over the reads
+        e.reset()
+        while not e.terminal:
+            if rng.random() < 0.05:  # hold phases long enough for queues to settle
+                action = int(rng.integers(e.action_space.size))
+            t = step(action)
+            assert t.next_state.tobytes() == reference_observe(e.state, "wads").tobytes()
+            assert_matches_references(e.state)
+            skipped += sum(e.state._head)
+        assert ticks == list(range(1, flow.duration + 1))
+        assert skipped > 0

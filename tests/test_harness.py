@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from trafficlab import core, harness
 from trafficlab.agents import (DQNAgent, DQNConfig, GreedyController, load_checkpoint,
                                save_checkpoint)
 from trafficlab.baselines import make_controller, SotlParams
-from trafficlab.env import observation_dim
+from trafficlab.env import lane_capacity, observation_dim
 from trafficlab.harness import ExperimentConfig, METRICS_COLUMNS, COMPARE_COLUMNS
 
 
@@ -240,6 +241,30 @@ def zeroed_checkpoint(tmp_path, spec, variant="wad", action_mode="acyclic"):
     return path
 
 
+def reference_sweep_rows(agent, spec, action_mode, lane_pair, grid_max, variant="wad"):
+    """The sweep's grid loop over a pair known to be valid."""
+    keep_phase = next(p for p in range(2) if lane_pair[0] in spec.green_lanes(p))
+    switch_phase = 1 - keep_phase
+    dim = observation_dim(variant, spec.n_lanes, spec.n_phases)
+    blocks = dim - spec.n_phases
+    rows = []
+    for n1 in range(grid_max + 1):
+        for n2 in range(grid_max + 1):
+            obs = np.zeros(dim)
+            for lane, n in ((lane_pair[0], n1), (lane_pair[1], n2)):
+                cap = lane_capacity(spec.lanes[lane].length_m)
+                obs[lane] = min(n / cap, 1.0)
+            obs[blocks + keep_phase] = 1.0
+            q = agent.q_values(obs)
+            if action_mode == "cyclic":
+                q_keep, q_switch = float(q[0]), float(q[1])
+            else:
+                q_keep, q_switch = float(q[keep_phase]), float(q[switch_phase])
+            rows.append({"n1": n1, "n2": n2, "q_keep": q_keep, "q_switch": q_switch,
+                         "q_switch_minus_q_keep": q_switch - q_keep})
+    return rows
+
+
 class TestQvalueSweep:
     def test_grid_five_has_36_rows(self, tmp_path, two_phase_spec):
         path = zeroed_checkpoint(tmp_path, two_phase_spec)
@@ -269,6 +294,51 @@ class TestQvalueSweep:
         path = zeroed_checkpoint(tmp_path, two_phase_spec)
         with pytest.raises(ValueError):
             harness.qvalue_sweep(path, grid_max=0)
+
+    @pytest.mark.parametrize("pair", [(0, -1), (0, 5), (0,), (0, 1, 2), (0.0, 1)])
+    def test_rejects_lanes_outside_the_spec(self, tmp_path, two_phase_spec, pair):
+        path = zeroed_checkpoint(tmp_path, two_phase_spec)
+        with pytest.raises(ValueError, match=r"lanes .*" + re.escape(str(pair))):
+            harness.qvalue_sweep(path, grid_max=2, lane_pair=pair)
+
+    @pytest.mark.parametrize("pair", [(0, 0), (0, 2), (3, 1)])
+    def test_rejects_lanes_that_are_not_opposing(self, tmp_path, two_phase_spec, pair):
+        path = zeroed_checkpoint(tmp_path, two_phase_spec)
+        with pytest.raises(ValueError, match=r"lanes " + re.escape(str(pair))):
+            harness.qvalue_sweep(path, grid_max=2, lane_pair=pair)
+
+    def test_rejects_an_opposing_lane_that_the_held_phase_also_serves(self, tmp_path):
+        # Lane 1's movement is green in both phases, so holding phase 0
+        # already serves it.
+        doc = {
+            "yellow_duration": 5,
+            "lanes": [{"length_m": 150.0, "vmax_ms": 11.0} for _ in range(4)],
+            "movements": [{"lane": k, "approach": a, "turn": "straight"}
+                          for k, a in enumerate("NESW")],
+            "conflicts": [],
+            "phases": [[0, 1, 2], [1, 3]],
+        }
+        spec = core.load_intersection(json.dumps(doc))
+        assert spec.green_lanes(0) == {0, 1, 2} and spec.green_lanes(1) == {1, 3}
+        path = zeroed_checkpoint(tmp_path, spec)
+        with pytest.raises(ValueError, match=re.escape("lanes (0, 1)")):
+            harness.qvalue_sweep(path, grid_max=2, lane_pair=(0, 1))
+        assert len(harness.qvalue_sweep(path, grid_max=2, lane_pair=(0, 3))) == 9
+
+    @pytest.mark.parametrize("action_mode", ["acyclic", "cyclic"])
+    def test_valid_pairs_give_the_reference_rows(self, tmp_path, two_phase_spec, action_mode):
+        agent = DQNAgent(observation_dim("wad", 4, 2), 2, DQNConfig(seed=3))
+        path = tmp_path / "random.npz"
+        save_checkpoint(path, agent, {
+            "variant": "wad", "action_mode": action_mode, "process": "smdp",
+            "intersection": core.intersection_to_document(two_phase_spec),
+        })
+        agent, _ = load_checkpoint(path)
+        for pair in ((0, 1), (1, 0), (2, 3), (3, 2), (0, 3)):
+            rows = harness.qvalue_sweep(path, grid_max=3, lane_pair=pair)
+            assert rows == reference_sweep_rows(agent, two_phase_spec, action_mode, pair, 3)
+        assert harness.qvalue_sweep(path, grid_max=3) == harness.qvalue_sweep(
+            path, grid_max=3, lane_pair=(0, 1))
 
 
 class TestSotlGridSearch:

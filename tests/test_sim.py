@@ -218,6 +218,42 @@ class TestLaneMetrics:
         assert d == 50.0
         assert s == 11.0
 
+    def test_memo_is_refreshed_by_a_tick(self, two_phase_spec):
+        state = sim.init(two_phase_spec, empty_flow())
+        red = next(j for j in range(two_phase_spec.n_lanes)
+                   if j not in two_phase_spec.green_lanes(0))
+        place(state, red, 100.0, speed=11.0)
+        first = sim.lane_metrics(state)
+        assert first[red] == (0, 1, 50.0, 11.0)
+        assert sim.lane_metrics(state) is first
+        sim.tick(state)
+        assert sim.lane_metrics(state)[red] == (0, 1, 39.0, 11.0)
+        for _ in range(10):  # it reaches the stop line and settles there
+            sim.tick(state)
+        assert state._head[red] == 1
+        assert sim.lane_metrics(state)[red] == (1, 0, 0.0, 0.0)
+
+    def test_outside_change_shows_from_the_next_clock(self, two_phase_spec):
+        state = sim.init(two_phase_spec, empty_flow())
+        assert sim.lane_metrics(state)[0] == (0, 0, 0.0, 0.0)
+        place(state, 0, 150.0)
+        assert sim.lane_metrics(state)[0] == (0, 0, 0.0, 0.0)
+        sim.command_signal(state, 1)
+        sim.tick(state)
+        assert sim.lane_metrics(state)[0] == (1, 0, 0.0, 0.0)
+
+    def test_result_cannot_be_mutated(self, two_phase_spec):
+        state = sim.init(two_phase_spec, empty_flow())
+        place(state, 0, 150.0)
+        metrics = sim.lane_metrics(state)
+        with pytest.raises(TypeError):
+            metrics[0] = (0, 0, 0.0, 0.0)
+        with pytest.raises(TypeError):
+            metrics[0][0] = 0
+        with pytest.raises(AttributeError):
+            metrics.append((0, 0, 0.0, 0.0))
+        assert sim.lane_metrics(state)[0] == (1, 0, 0.0, 0.0)
+
 
 class TestAvgTravelTime:
     def test_mean_of_completed_trips(self, two_phase_spec):

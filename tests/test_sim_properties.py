@@ -2,7 +2,9 @@
 
 `reference_tick` is the plain per-vehicle loop that updates every vehicle on
 every tick. `sim.tick` must give bit-identical states after every tick, also
-when vehicles are put onto lanes from outside between ticks. The invariant
+when vehicles are put onto lanes from outside between ticks. Likewise
+`reference_lane_metrics` visits every vehicle, and the memoised, head-skipping
+`sim.lane_metrics` must equal it bit for bit after every tick. The invariant
 tests check conservation, follower spacing, lane order, yellow and red safety
 and determinism on the simulator alone.
 """
@@ -100,6 +102,35 @@ def reference_tick(state: sim.SimState) -> None:
     state.clock += 1
 
 
+def reference_lane_metrics(state: sim.SimState):
+    """Per-lane (waiting count, approaching count, mean distance-to-line of
+    approaching, mean speed of approaching); means are 0 on empty lanes."""
+    out = []
+    for j, lane in enumerate(state.lanes):
+        length = state.spec.lanes[j].length_m
+        waiting = 0
+        approaching = 0
+        dist_sum = 0.0
+        speed_sum = 0.0
+        for veh in lane:
+            if veh.status == WAITING:
+                waiting += 1
+            else:
+                approaching += 1
+                dist_sum += length - veh.position
+                speed_sum += veh.speed
+        if approaching:
+            out.append((waiting, approaching, dist_sum / approaching, speed_sum / approaching))
+        else:
+            out.append((waiting, 0, 0.0, 0.0))
+    return out
+
+
+def exact_metrics(metrics):
+    """Lane metrics with the means as hex, so -0.0 and 0.0 differ."""
+    return [(w, a, d.hex(), s.hex()) for w, a, d, s in metrics]
+
+
 def exact(state: sim.SimState):
     """Everything the tick writes, with floats as hex so -0.0 and 0.0 differ."""
     lanes = tuple(
@@ -189,6 +220,26 @@ def test_tick_matches_the_per_vehicle_reference(scenario):
         reference_tick(slow)
         assert exact(fast) == exact(slow), f"tick {t}"
         assert fast == slow
+
+
+@PROPERTY_SETTINGS
+@given(scenarios(with_edits=True))
+def test_lane_metrics_match_the_per_vehicle_reference(scenario):
+    spec, flow, commands, edits = scenario
+    state = sim.init(spec, flow)
+    assert exact_metrics(sim.lane_metrics(state)) == exact_metrics(reference_lane_metrics(state))
+    placed = 0
+    for t, phase in enumerate(commands):
+        sim.command_signal(state, phase)
+        sim.tick(state)
+        # Placements land after the tick and before the first read at the new
+        # clock, so they can break the settled head that tick recorded.
+        for edit in edits.get(t, ()):
+            placed += 1
+            place(state, edit, PLACED_ID_BASE + placed)
+        expected = exact_metrics(reference_lane_metrics(state))
+        assert exact_metrics(sim.lane_metrics(state)) == expected, f"tick {t}"
+        assert exact_metrics(sim.lane_metrics(state)) == expected, f"memo at tick {t}"
 
 
 def run(spec, flow, commands, on_tick=None):
