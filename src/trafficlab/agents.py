@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -32,8 +33,12 @@ class DQNConfig:
     def __post_init__(self):
         if not (0.0 <= self.gamma <= 1.0):
             raise ValueError("gamma must be in [0, 1]")
-        if self.lr <= 0 or self.batch_size < 1 or self.replay_capacity < 1:
-            raise ValueError("lr, batch_size and replay_capacity must be positive")
+        if self.batch_size < 1 or self.replay_capacity < 1:
+            raise ValueError("batch_size and replay_capacity must be positive")
+        if not 0 < self.lr < math.inf:
+            raise ValueError("lr must be positive and finite")
+        if not 0.0 <= self.tau <= 1.0:
+            raise ValueError("tau must be in [0, 1]")
         if not (0.0 <= self.eps_end <= self.eps_start <= 1.0):
             raise ValueError("need 0 <= eps_end <= eps_start <= 1")
         if self.eps_decay_steps < 1:

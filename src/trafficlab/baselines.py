@@ -3,6 +3,7 @@ threshold-integral schemes (cyclic cut-off and acyclic max-pressure variant)."""
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -28,12 +29,12 @@ class SotlParams:
     detection_distance: float = 80.0
 
     def __post_init__(self):
-        if self.threshold <= 0:
-            raise ValueError("threshold must be positive")
+        if not 0 < self.threshold < math.inf:
+            raise ValueError("threshold must be positive and finite")
         if self.min_green < 1:
             raise ValueError("min_green must be at least 1 second")
-        if self.detection_distance <= 0:
-            raise ValueError("detection_distance must be positive")
+        if not 0 < self.detection_distance < math.inf:
+            raise ValueError("detection_distance must be positive and finite")
 
 
 class FixedTimeController:
@@ -70,30 +71,39 @@ class CutoffController:
         self.params = params or SotlParams()
         self.phase_integral = [0.0] * spec.n_phases
         self._phase_lanes = [spec.green_lanes(p) for p in range(spec.n_phases)]
+        # Per lane, the phases that serve it.
+        self._lane_phases = [[i for i, lanes in enumerate(self._phase_lanes) if j in lanes]
+                             for j in range(spec.n_lanes)]
 
     def reset(self) -> None:
         self.phase_integral = [0.0] * self.spec.n_phases
 
     def step(self, red_lane_counts, current_phase: int, phase_green_seconds: int) -> int:
-        """Pure counter logic; red_lane_counts[j] must be 0 for green lanes."""
-        for i, lanes in enumerate(self._phase_lanes):
-            self.phase_integral[i] += sum(red_lane_counts[j] for j in lanes)
+        """Pure counter logic; red_lane_counts[j] must be 0 for green lanes.
+
+        Each non-zero count is added to every phase that serves its lane; with
+        int counts this equals adding each phase's lane sum at once."""
+        integral = self.phase_integral
+        for c, phases in zip(red_lane_counts, self._lane_phases):
+            if c:
+                for i in phases:
+                    integral[i] += c
         nxt = (current_phase + 1) % self.spec.n_phases
-        if phase_green_seconds > self.params.min_green and self.phase_integral[nxt] > self.params.threshold:
-            self.phase_integral[nxt] = 0.0
+        if phase_green_seconds > self.params.min_green and integral[nxt] > self.params.threshold:
+            integral[nxt] = 0.0
             return nxt
         return current_phase
 
     def decide(self, state: SimState) -> int:
         counts = _detection_counts(state, self.params.detection_distance)
         sig = state.signal
-        in_yellow = sig.yellow_remaining > 0
-        green_lanes = set() if in_yellow else self._phase_lanes[sig.current_phase]
-        red_counts = [0 if j in green_lanes else c for j, c in enumerate(counts)]
         # A decision mid-yellow would be ignored by the environment, so the
         # phase clock is reported as 0 until the pending phase lands.
-        phase_green = 0 if in_yellow else sig.time_in_phase
-        return self.step(red_counts, sig.current_phase, phase_green)
+        if sig.yellow_remaining > 0:
+            return self.step(counts, sig.current_phase, 0)
+        for j in self._phase_lanes[sig.current_phase]:
+            counts[j] = 0
+        return self.step(counts, sig.current_phase, sig.time_in_phase)
 
 
 class MaxIntegralController:
@@ -110,9 +120,9 @@ class MaxIntegralController:
         self.lane_integral = [0.0] * self.spec.n_lanes
 
     def phase_integrals(self) -> list[float]:
-        return [
-            sum(self.lane_integral[j] for j in lanes) for lanes in self._phase_lanes
-        ]
+        """Per phase, the sum of its lanes' integrals, in frozenset order."""
+        get = self.lane_integral.__getitem__
+        return [sum(map(get, lanes)) for lanes in self._phase_lanes]
 
     def step(self, lane_counts, vehicles_near_green: int, current_phase: int,
              phase_green_seconds: int) -> int:
@@ -122,20 +132,25 @@ class MaxIntegralController:
         guard to be clear (never cut a crossing group smaller than
         cluster_split), and some phase integral to exceed the threshold. The
         winning phase is the integral argmax (lowest index on ties) and the
-        integrals of its lanes reset to zero.
+        integrals of its lanes reset to zero. Zero counts are not added.
         """
+        integral = self.lane_integral
         for j, c in enumerate(lane_counts):
-            self.lane_integral[j] += c
+            if c:
+                integral[j] += c
         if phase_green_seconds <= self.params.min_green:
             return current_phase
         if 0 < vehicles_near_green < self.params.cluster_split:
             return current_phase
         kappa = self.phase_integrals()
-        best = max(range(len(kappa)), key=lambda i: (kappa[i], -i))
+        best = 0
+        for i in range(1, len(kappa)):
+            if kappa[i] > kappa[best]:
+                best = i
         if kappa[best] <= self.params.threshold:
             return current_phase
         for j in self._phase_lanes[best]:
-            self.lane_integral[j] = 0.0
+            integral[j] = 0.0
         return best
 
     def decide(self, state: SimState) -> int:
@@ -162,13 +177,14 @@ def _detection_counts(state: SimState, detection_distance: float) -> list[int]:
     first vehicle behind the detection edge.
     """
     counts = []
-    for j, lane in enumerate(state.lanes):
-        edge = state.spec.lanes[j].length_m - detection_distance
+    for lane, lane_spec in zip(state.lanes, state.spec.lanes):
         n = 0
-        for veh in lane:
-            if not veh.position >= edge:
-                break
-            n += 1
+        if lane:
+            edge = lane_spec.length_m - detection_distance
+            for veh in lane:
+                if not veh.position >= edge:
+                    break
+                n += 1
         counts.append(n)
     return counts
 
@@ -176,13 +192,19 @@ def _detection_counts(state: SimState, detection_distance: float) -> list[int]:
 def _approaching_near_line(state: SimState, lanes, detection_distance: float) -> int:
     total = 0
     for j in lanes:
+        lane = state.lanes[j]
+        if not lane:
+            continue
         edge = state.spec.lanes[j].length_m - detection_distance
-        for veh in state.lanes[j]:
+        for veh in lane:
             if not veh.position >= edge:
                 break
             if veh.status == APPROACHING:
                 total += 1
     return total
+
+
+CONTROLLER_NAMES = ("fixed", "random", "sotl1", "sotl2")
 
 
 def make_controller(name: str, spec: IntersectionSpec, sotl: SotlParams | None = None,

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import core, sim
 from .agents import DQNAgent, DQNConfig, GreedyController, load_checkpoint, save_checkpoint
-from .baselines import SotlParams, make_controller
+from .baselines import CONTROLLER_NAMES, SotlParams, make_controller
 from .core import FlowDataset, IntersectionSpec
 from .env import ActionSpace, TrafficEnv, lane_capacity, observation_dim, reward
 
@@ -59,6 +59,13 @@ class ExperimentConfig:
             raise ValueError("eval_every must be at least 1")
         if self.process not in ("mdp", "smdp"):
             raise ValueError("process must be 'mdp' or 'smdp'")
+        if not isinstance(self.controllers, list):
+            raise ValueError(f"controllers must be a list of names, not {self.controllers!r}")
+        for name in self.controllers:
+            if name not in CONTROLLER_NAMES and not (
+                    isinstance(name, str) and name.startswith("dqn:") and len(name) > 4):
+                raise ValueError(f"unknown controllers entry {name!r}; accepted: "
+                                 f"{', '.join(CONTROLLER_NAMES)} or dqn:<checkpoint path>")
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":

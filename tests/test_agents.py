@@ -319,3 +319,19 @@ class TestCheckpoint:
         save_checkpoint(path, DQNAgent(4, 2, DQNConfig(seed=9)), {})
         save_checkpoint(path, agent, {"a": 1})
         assert path.read_bytes() == (tmp_path / "fresh.npz").read_bytes()
+
+
+class TestDQNConfigBounds:
+    @pytest.mark.parametrize("tau", [float("nan"), -1.0, 5.0])
+    def test_tau_outside_the_unit_interval_is_refused(self, tau):
+        with pytest.raises(ValueError, match="tau"):
+            DQNConfig(tau=tau)
+
+    @pytest.mark.parametrize("tau", [0.0, 1.0])
+    def test_tau_at_the_interval_ends_is_accepted(self, tau):
+        assert DQNConfig(tau=tau).tau == tau
+
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+    def test_non_finite_lr_is_refused(self, lr):
+        with pytest.raises(ValueError, match="lr"):
+            DQNConfig(lr=lr)

@@ -3,17 +3,22 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trafficlab import core, sim
 from trafficlab.baselines import (
     CutoffController,
     MaxIntegralController,
     SotlParams,
+    _approaching_near_line,
+    _detection_counts,
     fixed_policy,
     make_controller,
     random_policy,
     RandomController,
 )
+from trafficlab.sim import APPROACHING
 
 
 class TestFixedPolicy:
@@ -311,3 +316,199 @@ class TestSotlParams:
             SotlParams(min_green=0)
         with pytest.raises(ValueError):
             SotlParams(detection_distance=-1)
+
+    @pytest.mark.parametrize("field", ["threshold", "detection_distance"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_value_is_refused_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SotlParams(**{field: value})
+
+
+# The per-phase controllers and detectors as they were before the per-lane
+# integration, kept verbatim (bar names) as references: the controllers above
+# must decide and integrate bit for bit as these do.
+class ReferenceCutoffController:
+    def __init__(self, spec, params=None):
+        self.spec = spec
+        self.params = params or SotlParams()
+        self.phase_integral = [0.0] * spec.n_phases
+        self._phase_lanes = [spec.green_lanes(p) for p in range(spec.n_phases)]
+
+    def reset(self) -> None:
+        self.phase_integral = [0.0] * self.spec.n_phases
+
+    def step(self, red_lane_counts, current_phase: int, phase_green_seconds: int) -> int:
+        for i, lanes in enumerate(self._phase_lanes):
+            self.phase_integral[i] += sum(red_lane_counts[j] for j in lanes)
+        nxt = (current_phase + 1) % self.spec.n_phases
+        if phase_green_seconds > self.params.min_green and self.phase_integral[nxt] > self.params.threshold:
+            self.phase_integral[nxt] = 0.0
+            return nxt
+        return current_phase
+
+    def decide(self, state) -> int:
+        counts = reference_detection_counts(state, self.params.detection_distance)
+        sig = state.signal
+        in_yellow = sig.yellow_remaining > 0
+        green_lanes = set() if in_yellow else self._phase_lanes[sig.current_phase]
+        red_counts = [0 if j in green_lanes else c for j, c in enumerate(counts)]
+        phase_green = 0 if in_yellow else sig.time_in_phase
+        return self.step(red_counts, sig.current_phase, phase_green)
+
+
+class ReferenceMaxIntegralController:
+    def __init__(self, spec, params=None):
+        self.spec = spec
+        self.params = params or SotlParams()
+        self.lane_integral = [0.0] * spec.n_lanes
+        self._phase_lanes = [spec.green_lanes(p) for p in range(spec.n_phases)]
+
+    def reset(self) -> None:
+        self.lane_integral = [0.0] * self.spec.n_lanes
+
+    def phase_integrals(self) -> list[float]:
+        return [
+            sum(self.lane_integral[j] for j in lanes) for lanes in self._phase_lanes
+        ]
+
+    def step(self, lane_counts, vehicles_near_green: int, current_phase: int,
+             phase_green_seconds: int) -> int:
+        for j, c in enumerate(lane_counts):
+            self.lane_integral[j] += c
+        if phase_green_seconds <= self.params.min_green:
+            return current_phase
+        if 0 < vehicles_near_green < self.params.cluster_split:
+            return current_phase
+        kappa = self.phase_integrals()
+        best = max(range(len(kappa)), key=lambda i: (kappa[i], -i))
+        if kappa[best] <= self.params.threshold:
+            return current_phase
+        for j in self._phase_lanes[best]:
+            self.lane_integral[j] = 0.0
+        return best
+
+    def decide(self, state) -> int:
+        counts = reference_detection_counts(state, self.params.detection_distance)
+        sig = state.signal
+        in_yellow = sig.yellow_remaining > 0
+        near_green = 0
+        if not in_yellow:
+            for j in self._phase_lanes[sig.current_phase]:
+                counts[j] = 0
+            near_green = reference_approaching_near_line(
+                state, self._phase_lanes[sig.current_phase], self.params.detection_distance
+            )
+        phase_green = 0 if in_yellow else sig.time_in_phase
+        return self.step(counts, near_green, sig.current_phase, phase_green)
+
+
+def reference_detection_counts(state, detection_distance: float) -> list[int]:
+    counts = []
+    for j, lane in enumerate(state.lanes):
+        edge = state.spec.lanes[j].length_m - detection_distance
+        n = 0
+        for veh in lane:
+            if not veh.position >= edge:
+                break
+            n += 1
+        counts.append(n)
+    return counts
+
+
+def reference_approaching_near_line(state, lanes, detection_distance: float) -> int:
+    total = 0
+    for j in lanes:
+        edge = state.spec.lanes[j].length_m - detection_distance
+        for veh in state.lanes[j]:
+            if not veh.position >= edge:
+                break
+            if veh.status == APPROACHING:
+                total += 1
+    return total
+
+
+SPECS = (core.default_intersection(), core.two_phase_intersection(lane_length_m=150.0),
+         shared_lane_spec())
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+# Mostly zeros, as on a lightly loaded network, so the zero skip is exercised.
+COUNTS = st.sampled_from((0, 0, 0, 1, 2, 3, 7, 40))
+
+
+def exact_state(controller):
+    """The controller's integrals as reprs, so types and -0.0 show."""
+    if isinstance(controller, (CutoffController, ReferenceCutoffController)):
+        return repr(controller.phase_integral)
+    return repr((controller.lane_integral, controller.phase_integrals()))
+
+
+@st.composite
+def sotl_params(draw):
+    return SotlParams(threshold=draw(st.sampled_from((0.5, 1.0, 7.0, 30.0, 50.0, 200.0))),
+                      cluster_split=draw(st.integers(0, 5)),
+                      min_green=draw(st.integers(1, 12)),
+                      detection_distance=draw(st.sampled_from((5.0, 40.0, 80.0, 150.0, 400.0))))
+
+
+@st.composite
+def episodes(draw):
+    spec = draw(st.sampled_from(SPECS))
+    duration = draw(st.integers(20, 400))
+    spawns = sorted(draw(st.lists(st.integers(0, duration - 1), max_size=150)))
+    vehicles = tuple(core.Vehicle(k, t, draw(st.integers(0, len(spec.movements) - 1)))
+                     for k, t in enumerate(spawns))
+    return spec, core.FlowDataset(vehicles, duration=duration), draw(sotl_params())
+
+
+@PROPERTY_SETTINGS
+@given(episodes(), st.sampled_from(("sotl1", "sotl2")))
+def test_sotl_decide_matches_the_per_phase_reference(episode, name):
+    spec, flow, params = episode
+    new_cls, ref_cls = {"sotl1": (CutoffController, ReferenceCutoffController),
+                        "sotl2": (MaxIntegralController, ReferenceMaxIntegralController)}[name]
+    ctrl, ref = new_cls(spec, params), ref_cls(spec, params)
+    state = sim.init(spec, flow)
+    while state.clock < flow.duration:
+        if name == "sotl2":
+            for lanes in ctrl._phase_lanes:
+                assert (_approaching_near_line(state, lanes, params.detection_distance)
+                        == reference_approaching_near_line(state, lanes, params.detection_distance))
+        assert (_detection_counts(state, params.detection_distance)
+                == reference_detection_counts(state, params.detection_distance))
+        target = ctrl.decide(state)
+        assert target == ref.decide(state)
+        assert exact_state(ctrl) == exact_state(ref)
+        sim.command_signal(state, target)
+        sim.tick(state)
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from(SPECS), sotl_params(), st.data())
+def test_sotl_step_matches_the_per_phase_reference(spec, params, data):
+    pairs = ((CutoffController(spec, params), ReferenceCutoffController(spec, params)),
+             (MaxIntegralController(spec, params), ReferenceMaxIntegralController(spec, params)))
+    for ctrl, ref in pairs:
+        for _ in range(data.draw(st.integers(1, 80))):
+            counts = data.draw(st.lists(COUNTS, min_size=spec.n_lanes, max_size=spec.n_lanes))
+            phase = data.draw(st.integers(0, spec.n_phases - 1))
+            green = data.draw(st.integers(0, 15))
+            if isinstance(ctrl, CutoffController):
+                args = (counts, phase, green)
+            else:
+                args = (counts, data.draw(st.integers(0, 6)), phase, green)
+            assert ctrl.step(*args) == ref.step(*args)
+            assert exact_state(ctrl) == exact_state(ref)
+
+
+def test_lane_phases_list_every_phase_that_serves_a_lane():
+    ctrl = CutoffController(SPECS[0])
+    assert all(len(phases) == 2 for phases in ctrl._lane_phases)
+    assert CutoffController(shared_lane_spec())._lane_phases == [[0, 1], [0], [2]]
+
+
+def test_argmax_tie_keeps_the_lowest_phase():
+    ctrl = MaxIntegralController(shared_lane_spec(),
+                                 SotlParams(threshold=1, min_green=1, cluster_split=1))
+    # Lane 0 alone: phases 0 and 1 tie on 9 and phase 0 wins.
+    assert ctrl.step([9, 0, 0], 0, 2, 5) == 0
+    ctrl.reset()
+    assert ctrl.step([0, 0, 9], 0, 2, 5) == 2

@@ -84,3 +84,27 @@ def test_config_that_is_not_an_object_is_rejected(tmp_path):
     (tmp_path / "config.json").write_text("[]")
     with pytest.raises(ValueError, match="must be a JSON object"):
         ExperimentConfig.from_file(tmp_path / "config.json")
+
+
+@pytest.mark.parametrize("bad", ["sotl3", "dqn:", "DQN:ckpt.npz", "Fixed", "", 3])
+def test_unknown_controller_is_refused_before_any_episode(tmp_path, two_phase_spec,
+                                                          monkeypatch, bad):
+    calls = []
+    monkeypatch.setattr(harness, "evaluate", lambda *args, **kw: calls.append(args) or 1.0)
+    with pytest.raises(ValueError, match=rf"controllers entry {bad!r}.*fixed, random, sotl1, "
+                                         r"sotl2 or dqn:<checkpoint path>"):
+        harness.compare(write_config(tmp_path, two_phase_spec, controllers=["fixed", "sotl1", bad],
+                                     flow_profiles=[{"profile": UNIFORM, "seed": 1,
+                                                     "duration": 300}]))
+    assert calls == []
+
+
+def test_controllers_given_as_one_string_is_refused(tmp_path, two_phase_spec):
+    with pytest.raises(ValueError, match="controllers must be a list of names, not 'fixed'"):
+        write_config(tmp_path, two_phase_spec, controllers="fixed")
+
+
+def test_every_accepted_controller_form_loads(tmp_path, two_phase_spec):
+    names = ["fixed", "random", "sotl1", "sotl2", "dqn:ckpt/best.npz"]
+    config = write_config(tmp_path, two_phase_spec, controllers=names)
+    assert config.controllers[:4] == names[:4]
