@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from . import qnet
-from .core import IntersectionSpec
+from .core import IntersectionSpec, require_integers
 from .env import ActionSpace, Transition, decode_action, observe
 from .qnet import Adam, QNetwork
 from .sim import SimState
@@ -31,6 +31,7 @@ class DQNConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_integers(self, "batch_size", "replay_capacity", "eps_decay_steps", "seed")
         if not (0.0 <= self.gamma <= 1.0):
             raise ValueError("gamma must be in [0, 1]")
         if self.batch_size < 1 or self.replay_capacity < 1:
@@ -106,16 +107,24 @@ class ReplayBuffer:
         )
 
 
-def select_action(q_values: np.ndarray, epsilon: float, rng: np.random.Generator) -> int:
-    """Epsilon-greedy over the action values; greedy ties go to the lowest index."""
-    q_values = np.asarray(q_values)
-    if q_values.size == 0:
+def select_action(q_values, epsilon: float, rng: np.random.Generator,
+                  n_actions: int | None = None) -> int:
+    """Epsilon-greedy over the action values; greedy ties go to the lowest index.
+
+    The coin is `rng.random()`, drawn only when epsilon > 0; an exploring step
+    then draws its action with `rng.integers(n)`. `q_values` may also be a
+    function of no arguments that returns the values, with `n_actions` their
+    count: it is called only on a greedy step, so exploring runs no network.
+    """
+    lazy = callable(q_values)
+    n = n_actions if lazy else np.size(q_values)
+    if not n:
         raise ValueError("empty action-value vector")
     if not (0.0 <= epsilon <= 1.0):
         raise ValueError("epsilon must be in [0, 1]")
     if epsilon > 0.0 and rng.random() < epsilon:
-        return int(rng.integers(q_values.size))
-    return int(np.argmax(q_values))
+        return int(rng.integers(n))
+    return int(np.asarray(q_values() if lazy else q_values).argmax())
 
 
 def td_targets(target_net: QNetwork, rewards, next_states, durations, terminals,
@@ -138,10 +147,10 @@ def train_step(net: QNetwork, target_net: QNetwork, batch, config: DQNConfig,
     if len(states) == 0:
         raise ValueError("empty batch")
     targets = td_targets(target_net, rewards, next_states, durations, terminals, config.gamma)
-    if not np.all(np.isfinite(targets)):
+    if not np.isfinite(targets).all():
         raise RuntimeError("non-finite TD target; training step aborted")
     loss, grad_w, grad_b = qnet.loss_and_grads(net, states, actions, targets)
-    if not np.isfinite(loss):
+    if not math.isfinite(loss):
         raise RuntimeError(f"non-finite loss {loss}; training step aborted")
     optimizer.step(net, grad_w, grad_b)
     return loss
@@ -189,7 +198,7 @@ class DQNAgent:
 
     def act(self, state: np.ndarray, greedy: bool = False) -> int:
         eps = 0.0 if greedy else self.epsilon.value(self.transitions_seen)
-        return select_action(self.q_values(state), eps, self.rng)
+        return select_action(lambda: self.q_values(state), eps, self.rng, self.n_actions)
 
     def observe(self, transition: Transition) -> float | None:
         """Store a transition; train once the warmup is met. Returns the loss."""
@@ -208,9 +217,11 @@ class GreedyController:
     """A DQN agent acting greedily as a `reset()`/`decide(state)` controller.
 
     `meta` carries the stepping configuration `run_training` stores with a
-    checkpoint: `variant`, `action_mode` and `process`. Under "smdp" the agent
-    is inactive while yellow runs and on the tick the new phase lands, exactly
-    as `TrafficEnv.smdp_step` folds those ticks into one transition.
+    checkpoint: `variant`, `action_mode` and `process`. While yellow runs the
+    controller keeps the current phase without running the network, in either
+    process: `sim.command_signal` ignores any request then. Under "smdp" it
+    also keeps it on the tick the new phase lands, exactly as
+    `TrafficEnv.smdp_step` folds those ticks into one transition.
     """
 
     def __init__(self, agent: DQNAgent, spec: IntersectionSpec, meta: dict):
@@ -230,9 +241,9 @@ class GreedyController:
     def decide(self, state: SimState) -> int:
         sig = state.signal
         landing = sig.time_in_phase == 0 and state.clock > 0
-        if self.smdp and (sig.yellow_remaining > 0 or landing):
+        if sig.yellow_remaining > 0 or (self.smdp and landing):
             return sig.current_phase
-        action = int(np.argmax(self.agent.q_values(observe(state, self.variant))))
+        action = int(self.agent.q_values(observe(state, self.variant)).argmax())
         return decode_action(self.space, action, sig.current_phase)
 
 

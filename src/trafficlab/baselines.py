@@ -7,7 +7,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .core import IntersectionSpec
+from .core import IntersectionSpec, require_integers
 from .sim import APPROACHING, SimState
 
 
@@ -29,6 +29,7 @@ class SotlParams:
     detection_distance: float = 80.0
 
     def __post_init__(self):
+        require_integers(self, "cluster_split", "min_green")
         if not 0 < self.threshold < math.inf:
             raise ValueError("threshold must be positive and finite")
         if self.min_green < 1:

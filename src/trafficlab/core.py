@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 import random
 from dataclasses import dataclass
 
@@ -16,6 +17,15 @@ DEFAULT_LANE_LENGTH_M = 300.0
 DEFAULT_VMAX_MS = 11.0
 DEFAULT_BODY_LENGTH_M = 5.0
 DEFAULT_YELLOW_S = 5
+
+
+def require_integers(obj, *names: str) -> None:
+    """Refuse, with a ValueError naming the field, any of `obj`'s fields
+    `names` that is not an integer: NaN, inf, fractions and bools included."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -51,7 +52,8 @@ def observe(state: SimState, variant: str) -> np.ndarray:
         _scales = (spec, scales)
     j = spec.n_lanes
     blocks = _BLOCKS[variant]
-    metrics = np.array(sim.lane_metrics(state), dtype=np.float64).T
+    metrics = np.fromiter(chain.from_iterable(sim.lane_metrics(state)), np.float64,
+                          4 * j).reshape(j, 4).T
     if variant == "combined":
         np.divide(metrics[0] + metrics[1], scales[0], out=out[:j])
     else:

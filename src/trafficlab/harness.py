@@ -55,6 +55,10 @@ class ExperimentConfig:
     def __post_init__(self):
         _reject_unknown_keys("dqn", self.dqn, [f.name for f in fields(DQNConfig)])
         _reject_unknown_keys("sotl", self.sotl, [f.name for f in fields(SotlParams)])
+        integers = ["eval_every", "total_epochs", "repeats", "holdout_index", "seed"]
+        if self.horizon is not None:
+            integers.append("horizon")
+        core.require_integers(self, *integers)
         if self.eval_every < 1:
             raise ValueError("eval_every must be at least 1")
         if self.process not in ("mdp", "smdp"):
@@ -272,13 +276,13 @@ def compare(config: ExperimentConfig):
     spec, flows = load_materials(config)
     sotl = SotlParams(**config.sotl) if config.sotl else SotlParams()
     repeats = max(1, config.repeats)
+    halves = [(flow.label or f"flow{k}", core.split_halves(flow))
+              for k, flow in enumerate(flows)]
     rows = []
     for name in config.controllers:
         # A greedy DQN holds no episode state, so its checkpoint loads once.
         greedy = _build_policy(name, spec, sotl, config) if name.startswith("dqn:") else None
-        for k, flow in enumerate(flows):
-            label = flow.label or f"flow{k}"
-            val, test = core.split_halves(flow)
+        for label, (val, test) in halves:
             for split, part in (("val", val), ("test", test)):
                 # Only the random controller is stochastic, so only it runs
                 # `repeats` times, its seed offset per repeat, and reports the

@@ -1,13 +1,16 @@
 """Action-value network: a small numpy MLP with analytic gradients and Adam.
 
-`forward` and `loss_and_grads` share one forward routine that writes into the
-network's workspace: activation, delta and ReLU-mask buffers, one set per batch
-size, made the first time that size is used and reused by every later call of
-that size. What the functions return is never workspace memory (Q values are
-copied out, gradients are views of a fresh vector), so a result stays valid
-across later calls. A workspace belongs to one network: `copy` makes the clone
-its own, checkpoints do not store it, and two threads must not run one network
-at once.
+`forward` on one state vector runs each layer on the 1-D vector, allocating
+its small result; numpy sends `(n,) @ (n, m)` to the same vector-matrix BLAS
+call as `(1, n) @ (n, m)`, so the values are those of a batch of one. Batches,
+in `forward` and `loss_and_grads`, share one forward routine that writes into
+the network's workspace: activation, delta and ReLU-mask buffers, one set per
+batch size, made the first time that size is used and reused by every later
+call of that size. What the functions return is never workspace memory (batch
+Q values are copied out, gradients are views of a fresh vector), so a result
+stays valid across later calls. A workspace belongs to one network: `copy`
+makes the clone its own, checkpoints do not store it, and two threads must not
+run one network at once.
 """
 
 from __future__ import annotations
@@ -120,13 +123,18 @@ def _run(net: QNetwork, x: np.ndarray) -> Workspace:
 def forward(net: QNetwork, states: np.ndarray) -> np.ndarray:
     """Q values for one state vector or a batch of them, as a fresh array."""
     x = np.asarray(states, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.shape[1] != net.in_dim:
-        raise ValueError(f"state dimension {x.shape[1]} does not match network input {net.in_dim}")
-    q = _run(net, x).outputs[-1]
-    return q[0].copy() if single else q.copy()
+    if x.shape[-1] != net.in_dim:
+        raise ValueError(f"state dimension {x.shape[-1]} does not match network input {net.in_dim}")
+    if x.ndim != 1:
+        return _run(net, x).outputs[-1].copy()
+    h = x
+    last = len(net.weights) - 1
+    for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+        h = h @ w
+        h += b
+        if k < last:
+            np.maximum(h, 0.0, out=h)
+    return h
 
 
 def loss_and_grads(net: QNetwork, states, actions, targets):
@@ -144,7 +152,8 @@ def loss_and_grads(net: QNetwork, states, actions, targets):
     q = acts[-1]
     picked = q[ws.rows, actions]
     err = picked - targets
-    loss = float(np.mean(err ** 2))
+    # The sum and the division that np.mean makes, without its Python wrapper.
+    loss = float((err ** 2).sum() / n)
 
     dq = ws.deltas[-1]
     dq.fill(0.0)

@@ -7,6 +7,7 @@ from trafficlab import qnet
 from trafficlab.agents import (
     DQNAgent,
     DQNConfig,
+    EpsilonSchedule,
     ReplayBuffer,
     load_checkpoint,
     save_checkpoint,
@@ -56,6 +57,52 @@ class TestSelectAction:
     def test_bad_epsilon_rejected(self):
         with pytest.raises(ValueError):
             select_action(np.array([1.0]), 1.5, np.random.default_rng(0))
+
+
+def reference_select_action(q_values: np.ndarray, epsilon: float,
+                            rng: np.random.Generator) -> int:
+    """`select_action` as it was when `act` ran the network before the coin,
+    kept verbatim (bar the name) as the reference."""
+    q_values = np.asarray(q_values)
+    if q_values.size == 0:
+        raise ValueError("empty action-value vector")
+    if not (0.0 <= epsilon <= 1.0):
+        raise ValueError("epsilon must be in [0, 1]")
+    if epsilon > 0.0 and rng.random() < epsilon:
+        return int(rng.integers(q_values.size))
+    return int(np.argmax(q_values))
+
+
+class TestAct:
+    EPSILONS = (0.0, 1.0, 0.5, 0.05, 0.95, 1e-9, 0.3)
+
+    def test_same_actions_and_rng_as_the_net_first_rule(self, monkeypatch):
+        calls = []
+        real_forward = qnet.forward
+
+        def counting_forward(net, states):
+            calls.append(np.ndim(states))
+            return real_forward(net, states)
+
+        monkeypatch.setattr(qnet, "forward", counting_forward)
+        agent = DQNAgent(6, 4, DQNConfig(seed=3))
+        ref = DQNAgent(6, 4, DQNConfig(seed=3))
+        explored = ran = 0
+        for k, state in enumerate(np.random.default_rng(4).random((500, 6))):
+            greedy = k % 11 == 0
+            eps = 0.0 if greedy else self.EPSILONS[k % len(self.EPSILONS)]
+            agent.epsilon = EpsilonSchedule(eps, eps, 1)
+            coin = np.random.default_rng()
+            coin.bit_generator.state = agent.rng.bit_generator.state
+            explores = eps > 0.0 and coin.random() < eps
+            calls.clear()
+            got = agent.act(state, greedy=greedy)
+            assert calls == ([] if explores else [1])
+            assert got == reference_select_action(ref.q_values(state), eps, ref.rng)
+            assert agent.rng.bit_generator.state == ref.rng.bit_generator.state
+            explored += explores
+            ran += not explores
+        assert explored > 100 and ran > 100
 
 
 class TestReplayBuffer:
@@ -335,3 +382,10 @@ class TestDQNConfigBounds:
     def test_non_finite_lr_is_refused(self, lr):
         with pytest.raises(ValueError, match="lr"):
             DQNConfig(lr=lr)
+
+    @pytest.mark.parametrize("field", ["batch_size", "replay_capacity", "eps_decay_steps", "seed"])
+    def test_a_value_that_is_not_an_integer_is_refused_by_name(self, field):
+        for value in (float("nan"), float("inf"), 2.5, True):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                DQNConfig(**{field: value})
+        assert getattr(DQNConfig(**{field: np.int64(3)}), field) == 3

@@ -323,6 +323,12 @@ class TestSotlParams:
         with pytest.raises(ValueError, match=field):
             SotlParams(**{field: value})
 
+    @pytest.mark.parametrize("field", ["cluster_split", "min_green"])
+    def test_a_value_that_is_not_an_integer_is_refused_by_name(self, field):
+        for value in (float("nan"), float("inf"), 2.5, True):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                SotlParams(**{field: value})
+
 
 # The per-phase controllers and detectors as they were before the per-lane
 # integration, kept verbatim (bar names) as references: the controllers above

@@ -108,3 +108,17 @@ def test_every_accepted_controller_form_loads(tmp_path, two_phase_spec):
     names = ["fixed", "random", "sotl1", "sotl2", "dqn:ckpt/best.npz"]
     config = write_config(tmp_path, two_phase_spec, controllers=names)
     assert config.controllers[:4] == names[:4]
+
+
+@pytest.mark.parametrize("field", ["eval_every", "total_epochs", "repeats", "holdout_index",
+                                   "seed", "horizon"])
+def test_a_value_that_is_not_an_integer_is_refused_by_name(tmp_path, two_phase_spec, field):
+    # json reads NaN and Infinity, so a config file can carry them.
+    for value in (float("nan"), float("inf"), 2.5, True):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            write_config(tmp_path, two_phase_spec, **{field: value})
+    assert getattr(write_config(tmp_path, two_phase_spec, **{field: 3}), field) == 3
+
+
+def test_no_horizon_is_accepted(tmp_path, two_phase_spec):
+    assert write_config(tmp_path, two_phase_spec, horizon=None).horizon is None

@@ -1,4 +1,5 @@
-"""The greedy DQN controller: equivalence with env stepping, meta checks, traces."""
+"""The greedy DQN controller: equivalence with env stepping and with the rule it
+replaced, meta checks, traces."""
 
 import csv
 import json
@@ -6,9 +7,10 @@ import json
 import numpy as np
 import pytest
 
-from trafficlab import cli, core, harness, sim
+from trafficlab import cli, core, harness, qnet, sim
 from trafficlab.agents import DQNAgent, DQNConfig, GreedyController, save_checkpoint
-from trafficlab.env import VARIANTS, ActionSpace, TrafficEnv, observation_dim
+from trafficlab.env import (VARIANTS, ActionSpace, TrafficEnv, decode_action, observation_dim,
+                            observe, reward)
 
 TOY_PROFILE = ("clustered(cluster_size=4,inter_cluster_gap=15,within_gap=2,"
                "lane_weights=0.5:0.2:0.25:0.05)")
@@ -113,3 +115,112 @@ def test_eval_trace_of_smdp_checkpoint_covers_every_tick(tmp_path, two_phase_spe
     reference_rollout(agent, two_phase_spec, val, meta, None)
     assert len(occupied) > 200
     assert traced == occupied
+
+
+class ReferenceGreedyController(GreedyController):
+    """`GreedyController` with the `decide` it had before the MDP yellow skip,
+    kept verbatim as the reference: it ran the network on every tick but the
+    SMDP's yellow and landing ticks."""
+
+    def decide(self, state):
+        sig = state.signal
+        landing = sig.time_in_phase == 0 and state.clock > 0
+        if self.smdp and (sig.yellow_remaining > 0 or landing):
+            return sig.current_phase
+        action = int(np.argmax(self.agent.q_values(observe(state, self.variant))))
+        return decode_action(self.space, action, sig.current_phase)
+
+
+def always_advance_agent(spec):
+    """A cyclic agent whose network always picks 'advance', so it switches at
+    every decision the signal takes."""
+    agent = DQNAgent(observation_dim("wad", spec.n_lanes, spec.n_phases), 2, DQNConfig(seed=0))
+    for w in agent.net.weights:
+        w[:] = 0.0
+    agent.net.biases[-1][:] = (0.0, 1.0)
+    return agent
+
+
+class Recorder:
+    """Wraps a controller and logs, per decision, whether yellow runs, the
+    phase decided and the `qnet.forward` calls it made."""
+
+    def __init__(self, policy, forward_calls):
+        self.policy = policy
+        self.forward_calls = forward_calls
+        self.log = []
+
+    def reset(self):
+        self.policy.reset()
+
+    def decide(self, state):
+        calls = len(self.forward_calls)
+        yellow = state.signal.yellow_remaining > 0
+        phase = self.policy.decide(state)
+        self.log.append((yellow, phase, len(self.forward_calls) - calls))
+        return phase
+
+
+@pytest.mark.parametrize("action_mode", ["cyclic", "acyclic"])
+@pytest.mark.parametrize("spec_name", ["two_phase_spec", "default_spec"])
+def test_mdp_greedy_episode_runs_the_net_once_per_non_yellow_tick(request, monkeypatch,
+                                                                 spec_name, action_mode):
+    spec = request.getfixturevalue(spec_name)
+    profile = core.parse_profile(f"uniform(rate_per_lane=0.05,n_lanes={spec.n_lanes})")
+    flow = core.generate_flow(profile, seed=2, duration=400)
+    forward_calls = []
+    real_forward = qnet.forward
+
+    def counting_forward(net, states):
+        forward_calls.append(np.ndim(states))
+        return real_forward(net, states)
+
+    monkeypatch.setattr(qnet, "forward", counting_forward)
+    n_actions = ActionSpace(action_mode, spec.n_phases).size
+    agents = [(v, DQNAgent(observation_dim(v, spec.n_lanes, spec.n_phases), n_actions,
+                           DQNConfig(seed=s)))
+              for v, s in (("wad", 0), ("wads", 1), ("combined", 2))]
+    if action_mode == "cyclic":
+        agents.append(("wad", always_advance_agent(spec)))
+    yellow_ticks = 0
+    for variant, agent in agents:
+        meta = {"variant": variant, "action_mode": action_mode, "process": "mdp"}
+        runs = []
+        for rule in (GreedyController, ReferenceGreedyController):
+            recorder = Recorder(rule(agent, spec, meta), forward_calls)
+            signals = []
+            tt = harness.evaluate(recorder, spec, flow, on_tick=lambda state: signals.append(
+                (vars(state.signal).copy(), reward(state))))
+            runs.append((tt, signals, recorder.log))
+        (tt, signals, log), (ref_tt, ref_signals, ref_log) = runs
+        assert tt == ref_tt and signals == ref_signals
+        assert len(log) == len(ref_log) == flow.duration
+        for (yellow, phase, calls), (_, ref_phase, ref_calls) in zip(log, ref_log):
+            assert calls == (0 if yellow else 1) and ref_calls == 1
+            if not yellow:
+                assert phase == ref_phase
+        yellow_ticks += sum(yellow for yellow, _, _ in log)
+    assert yellow_ticks > 50  # the cases exercise switching, so the skip matters
+
+
+@pytest.mark.parametrize("action_mode", ["cyclic", "acyclic"])
+def test_eval_trace_of_mdp_checkpoint_matches_the_reference_rule(tmp_path, two_phase_spec,
+                                                                 monkeypatch, capsys,
+                                                                 action_mode):
+    meta = {"variant": "wad", "action_mode": action_mode, "process": "mdp",
+            "intersection": core.intersection_to_document(two_phase_spec)}
+    agent = (always_advance_agent(two_phase_spec) if action_mode == "cyclic"
+             else DQNAgent(observation_dim("wad", 4, 2), 2, DQNConfig(seed=5)))
+    save_checkpoint(tmp_path / "mdp.npz", agent, meta)
+    flow = core.generate_flow(core.parse_profile(TOY_PROFILE), seed=3, duration=600)
+    (tmp_path / "flow.json").write_text(json.dumps(core.flow_to_document(flow)))
+    outputs = []
+    for rule in (GreedyController, ReferenceGreedyController):
+        monkeypatch.setattr(cli, "GreedyController", rule)
+        trace = tmp_path / f"{rule.__name__}.csv"
+        assert cli.main(["eval", "--checkpoint", str(tmp_path / "mdp.npz"),
+                         "--flow", str(tmp_path / "flow.json"), "--split", "test",
+                         "--trace", str(trace)]) == 0
+        outputs.append((trace.read_bytes(), capsys.readouterr().out.splitlines()[-1]))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0].count(b"\n") > 1000

@@ -405,6 +405,35 @@ def test_compare_repeats_only_the_random_controller(tmp_path, two_phase_spec, mo
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
+def test_compare_splits_each_flow_once(tmp_path, monkeypatch):
+    controllers = ["fixed", "random", "sotl1", "sotl2"]
+    config = ExperimentConfig.from_file(
+        write_toy_config(tmp_path, controllers=controllers, repeats=2))
+    spec, flows = harness.load_materials(config)
+    expected = []  # each controller splitting each flow itself, as compare once did
+    for name in controllers:
+        for flow in flows:
+            for split, part in zip(("val", "test"), core.split_halves(flow)):
+                tts = [harness.evaluate(harness._build_policy(name, spec, SotlParams(), config,
+                                                              seed_offset=r), spec, part)
+                       for r in range(2 if name == "random" else 1)]
+                expected.append({"controller": name, "flow": flow.label, "split": split,
+                                 "avg_travel_time_s": tts[0] if len(set(tts)) == 1
+                                 else sum(tts) / len(tts)})
+
+    splits = []
+    split_halves = core.split_halves
+
+    def counting_split_halves(flow):
+        splits.append(flow.label)
+        return split_halves(flow)
+
+    monkeypatch.setattr(core, "split_halves", counting_split_halves)
+    rows = harness.compare(config)
+    assert splits == [flow.label for flow in flows]
+    assert rows == expected
+
+
 def test_a_flow_that_does_not_fit_fails_before_any_episode(tmp_path, monkeypatch):
     config = ExperimentConfig.from_file(write_toy_config(tmp_path, controllers=["fixed"]))
     # Five lane weights on the four-lane toy: every vehicle asks for movement 4.

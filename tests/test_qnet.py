@@ -416,3 +416,68 @@ class TestWorkspace:
             q = forward(net, rng.normal(size=(n, 6)))
             assert net.workspace(n) is made[n]
             np.testing.assert_array_equal(made[n].outputs[-1], q)
+
+
+def workspace_forward(net: QNetwork, states: np.ndarray) -> np.ndarray:
+    """`forward` as it was before the 1-D path, kept verbatim (bar the name and
+    the `qnet.` prefix) as the reference: one state ran as a batch of one
+    through the workspace."""
+    x = np.asarray(states, dtype=np.float64)
+    single = x.ndim == 1
+    if single:
+        x = x[None, :]
+    if x.shape[1] != net.in_dim:
+        raise ValueError(f"state dimension {x.shape[1]} does not match network input {net.in_dim}")
+    q = qnet._run(net, x).outputs[-1]
+    return q[0].copy() if single else q.copy()
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestSingleStateForward:
+    """One state vector runs on the 1-D vector, bit for bit as a batch of one."""
+
+    LAYERS = [(40,) + qnet.HIDDEN + (8,), (14,) + qnet.HIDDEN + (2,), (5, 9, 4), (1, 1, 1, 1),
+              (3, 7)]
+
+    @pytest.mark.parametrize("layers", LAYERS)
+    def test_bit_equal_to_the_workspace_forward(self, layers):
+        rng = np.random.default_rng(sum(layers))
+        n = layers[0]
+        for trial in range(60):
+            net = QNetwork(layers, rng)
+            scale = 10.0 ** rng.integers(-3, 4)
+            pairs = rng.normal(size=(5, 2, n)) * scale
+            columns = rng.normal(size=(n, 3)) * scale
+            long = rng.normal(size=3 * n + 1) * scale
+            if trial % 4 == 3:
+                pairs[1, 0, rng.integers(n)] = np.nan
+                pairs[2, 1, rng.integers(n)] = rng.choice([np.inf, -np.inf])
+                net.weights[-1][rng.integers(layers[-2]), rng.integers(layers[-1])] = np.inf
+            # Contiguous rows, the strided replay-pair views, a column, forward
+            # and backward strides, and a list.
+            states = (pairs[0, 0], pairs[1, 0], pairs[2, 1], pairs[:, 1][3], columns[:, 1],
+                      long[1::3], long[::-3][:n], list(pairs[4, 0]))
+            with np.errstate(invalid="ignore", over="ignore"):
+                for x in states:
+                    assert_same_bits(forward(net, x), workspace_forward(net, x))
+
+    def test_result_does_not_change_on_later_calls(self):
+        rng = np.random.default_rng(12)
+        net = QNetwork.build(6, 3, rng)
+        opt = Adam(net)
+        x = rng.normal(size=6)
+        q = forward(net, x)
+        kept = q.copy()
+        assert not any(np.shares_memory(q, a) for a in (x, net.flat))
+        forward(net, rng.normal(size=6))
+        forward(net, rng.normal(size=(1, 6)))
+        forward(net, rng.normal(size=(32, 6)))
+        _, gw, gb = loss_and_grads(net, rng.normal(size=(32, 6)), rng.integers(0, 3, size=32),
+                                   np.ones(32))
+        opt.step(net, gw, gb)
+        x[:] = 0.0
+        assert_same_bits(q, kept)
