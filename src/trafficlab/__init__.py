@@ -1,76 +1,68 @@
-"""Adaptive traffic-signal control lab on a deterministic microsimulator."""
+"""Adaptive traffic-signal control lab on a deterministic microsimulator.
 
-from .core import (
-    ClusteredProfile,
-    ConflictMatrix,
-    FlowDataset,
-    IntersectionSpec,
-    Movement,
-    Phase,
-    UniformProfile,
-    Vehicle,
-    default_intersection,
-    enumerate_phases,
-    generate_flow,
-    load_intersection,
-    split_dataset,
-    two_phase_intersection,
-)
-from .env import ActionSpace, TrafficEnv, Transition, decode_action, observe, reward
-from .agents import DQNAgent, DQNConfig, ReplayBuffer, select_action, train_step
-from .baselines import (
-    CutoffController,
-    FixedTimeController,
-    MaxIntegralController,
-    RandomController,
-    SotlParams,
-    fixed_policy,
-    random_policy,
-)
-from .harness import ExperimentConfig, compare, evaluate, qvalue_sweep, run_training
-from .qnet import QNetwork, forward, soft_update
+The public names below resolve lazily (PEP 562): `import trafficlab` loads
+nothing but this file, and the first use of a name imports its submodule.
+Only `core` is pure stdlib; `env`, `qnet`, `agents`, `baselines`, `harness`
+and `sim` bring in numpy. Submodules import as usual
+(`from trafficlab import agents`).
+"""
 
-__all__ = [
-    "ActionSpace",
-    "ClusteredProfile",
-    "ConflictMatrix",
-    "CutoffController",
-    "DQNAgent",
-    "DQNConfig",
-    "ExperimentConfig",
-    "FixedTimeController",
-    "FlowDataset",
-    "IntersectionSpec",
-    "MaxIntegralController",
-    "Movement",
-    "Phase",
-    "QNetwork",
-    "RandomController",
-    "ReplayBuffer",
-    "SotlParams",
-    "TrafficEnv",
-    "Transition",
-    "UniformProfile",
-    "Vehicle",
-    "compare",
-    "decode_action",
-    "default_intersection",
-    "enumerate_phases",
-    "evaluate",
-    "fixed_policy",
-    "forward",
-    "generate_flow",
-    "load_intersection",
-    "observe",
-    "qvalue_sweep",
-    "random_policy",
-    "reward",
-    "run_training",
-    "select_action",
-    "soft_update",
-    "split_dataset",
-    "train_step",
-    "two_phase_intersection",
-]
+import importlib
+
+# Public name -> the submodule that defines it.
+_EXPORTS = {
+    "ClusteredProfile": "core",
+    "ConflictMatrix": "core",
+    "FlowDataset": "core",
+    "IntersectionSpec": "core",
+    "Movement": "core",
+    "Phase": "core",
+    "UniformProfile": "core",
+    "Vehicle": "core",
+    "default_intersection": "core",
+    "enumerate_phases": "core",
+    "generate_flow": "core",
+    "load_intersection": "core",
+    "split_dataset": "core",
+    "two_phase_intersection": "core",
+    "ActionSpace": "env",
+    "TrafficEnv": "env",
+    "Transition": "env",
+    "decode_action": "env",
+    "observe": "env",
+    "reward": "env",
+    "DQNAgent": "agents",
+    "DQNConfig": "agents",
+    "ReplayBuffer": "agents",
+    "select_action": "agents",
+    "train_step": "agents",
+    "CutoffController": "baselines",
+    "FixedTimeController": "baselines",
+    "MaxIntegralController": "baselines",
+    "RandomController": "baselines",
+    "SotlParams": "baselines",
+    "fixed_policy": "baselines",
+    "random_policy": "baselines",
+    "ExperimentConfig": "harness",
+    "compare": "harness",
+    "evaluate": "harness",
+    "qvalue_sweep": "harness",
+    "run_training": "harness",
+    "QNetwork": "qnet",
+    "forward": "qnet",
+    "soft_update": "qnet",
+}
+
+__all__ = sorted(_EXPORTS)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

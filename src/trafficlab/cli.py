@@ -1,4 +1,9 @@
-"""Command-line entry points: train, eval, compare, sweep, genflow, genspec."""
+"""Command-line entry points: train, eval, compare, sweep, genflow, genspec.
+
+`genflow` and `genspec` need only the stdlib `core`. The other commands
+import `harness`, `agents` and `sim` (and so numpy) when they run, so the
+first of them in a process pays that import.
+"""
 
 from __future__ import annotations
 
@@ -7,10 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import core, harness
-from .agents import GreedyController, load_checkpoint
-from .harness import ExperimentConfig
-from .sim import trajectory_rows
+from . import core
 
 
 def main(argv=None) -> int:
@@ -45,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="run every configured controller on every flow")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--repeats", type=int, default=None,
+    p.add_argument("--repeats", type=_repeat_count, default=None,
                    help="average stochastic controllers over this many seeded runs")
     p.set_defaults(func=cmd_compare)
 
@@ -76,7 +78,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_train(args) -> int:
-    config = ExperimentConfig.from_file(args.config)
+    from . import harness
+
+    config = harness.ExperimentConfig.from_file(args.config)
     if args.seed is not None:
         config.seed = args.seed
     if args.out is not None:
@@ -89,6 +93,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from . import harness
+    from .agents import load_checkpoint
+    from .sim import trajectory_rows
+
     agent, meta = load_checkpoint(args.checkpoint)
     if args.spec is not None:
         spec = core.load_intersection(Path(args.spec).read_text(encoding="utf-8"))
@@ -104,7 +112,9 @@ def cmd_eval(args) -> int:
         def on_tick(state):
             trace_rows.extend(trajectory_rows(state))
 
-    tt = harness.evaluate(GreedyController(agent, spec, meta), spec, part, on_tick=on_tick)
+    # Read through the module attribute at call time, so it can be swapped.
+    controller = sys.modules[__name__].GreedyController(agent, spec, meta)
+    tt = harness.evaluate(controller, spec, part, on_tick=on_tick)
     if args.trace is not None:
         columns = ("tick", "vehicle", "lane", "position_m", "speed_ms", "status")
         harness.write_csv(args.trace, columns, [dict(zip(columns, r)) for r in trace_rows])
@@ -114,13 +124,26 @@ def cmd_eval(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    config = ExperimentConfig.from_file(args.config)
+    from . import harness
+
+    config = harness.ExperimentConfig.from_file(args.config)
     if args.repeats is not None:
         config.repeats = args.repeats
     rows = harness.compare(config)
     harness.write_csv(args.out, harness.COMPARE_COLUMNS, rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
+
+
+def _repeat_count(text: str) -> int:
+    try:
+        repeats = int(text)
+    except ValueError:
+        repeats = 0
+    if repeats < 1:
+        raise argparse.ArgumentTypeError(
+            f"repeats must be an integer of at least 1, got {text!r}")
+    return repeats
 
 
 def _lane_pair(text: str) -> tuple[int, int]:
@@ -133,6 +156,8 @@ def _lane_pair(text: str) -> tuple[int, int]:
 
 
 def cmd_sweep(args) -> int:
+    from . import harness
+
     rows = harness.qvalue_sweep(args.checkpoint, args.grid_max, args.lanes)
     harness.write_csv(
         args.out, ("n1", "n2", "q_keep", "q_switch", "q_switch_minus_q_keep"), rows
@@ -164,6 +189,14 @@ def cmd_genspec(args) -> int:
     print(f"wrote {args.kind} intersection ({spec.n_lanes} lanes, "
           f"{spec.n_phases} phases) to {args.out}")
     return 0
+
+
+def __getattr__(name):
+    # PEP 562, as in the package: `GreedyController` loads `agents` on first use.
+    if name == "GreedyController":
+        from .agents import GreedyController
+        return GreedyController
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 if __name__ == "__main__":

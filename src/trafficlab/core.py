@@ -19,13 +19,17 @@ DEFAULT_BODY_LENGTH_M = 5.0
 DEFAULT_YELLOW_S = 5
 
 
+def require_integer(name: str, value) -> None:
+    """Refuse, with a ValueError naming the field, a `value` that is not an
+    integer: NaN, inf, fractions and bools included."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def require_integers(obj, *names: str) -> None:
-    """Refuse, with a ValueError naming the field, any of `obj`'s fields
-    `names` that is not an integer: NaN, inf, fractions and bools included."""
+    """`require_integer` on each of `obj`'s fields `names`."""
     for name in names:
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+        require_integer(name, getattr(obj, name))
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,9 @@ METRICS_COLUMNS = (
 
 COMPARE_COLUMNS = ("controller", "flow", "split", "avg_travel_time_s")
 
+# Keys of one `flow_profiles` entry; all but `label` are required.
+FLOW_PROFILE_KEYS = ("profile", "seed", "duration", "label")
+
 
 @dataclass
 class ExperimentConfig:
@@ -61,6 +64,11 @@ class ExperimentConfig:
         core.require_integers(self, *integers)
         if self.eval_every < 1:
             raise ValueError("eval_every must be at least 1")
+        if self.repeats < 1:
+            raise ValueError("repeats must be at least 1")
+        if self.horizon is not None and self.horizon < 1:
+            raise ValueError("horizon must be at least 1")
+        _check_flow_profiles(self.flow_profiles)
         if self.process not in ("mdp", "smdp"):
             raise ValueError("process must be 'mdp' or 'smdp'")
         if not isinstance(self.controllers, list):
@@ -94,6 +102,24 @@ def _reject_unknown_keys(where: str, doc: dict, accepted: list) -> None:
     if unknown:
         raise ValueError(f"unknown {where} key(s) {', '.join(map(repr, unknown))}; "
                          f"accepted keys: {', '.join(accepted)}")
+
+
+def _check_flow_profiles(entries) -> None:
+    """Refuse a `flow_profiles` entry that `load_materials` could not generate
+    as written, naming the entry's index and the field."""
+    if not isinstance(entries, list):
+        raise ValueError(f"flow_profiles must be a list of entries, not {entries!r}")
+    for k, item in enumerate(entries):
+        where = f"flow_profiles[{k}]"
+        if not isinstance(item, dict):
+            raise ValueError(f"{where} must be an object with keys "
+                             f"{', '.join(FLOW_PROFILE_KEYS)}, not {item!r}")
+        _reject_unknown_keys(where, item, FLOW_PROFILE_KEYS)
+        for key in ("profile", "seed", "duration"):
+            if key not in item:
+                raise ValueError(f"{where} lacks the {key!r} key")
+        for key in ("seed", "duration"):
+            core.require_integer(f"{where}.{key}", item[key])
 
 
 def _resolve(base: Path, p: str) -> Path:

@@ -9,7 +9,8 @@ import pytest
 from test_harness import reference_sweep_rows
 
 from trafficlab import cli, core, harness
-from trafficlab.agents import DQNAgent, DQNConfig, load_checkpoint, save_checkpoint
+from trafficlab.agents import (DQNAgent, DQNConfig, GreedyController, load_checkpoint,
+                               save_checkpoint)
 from trafficlab.env import observation_dim
 
 
@@ -178,3 +179,39 @@ def test_sweep_valid_pair_csv_is_unchanged(tmp_path, sweep_checkpoint):
     harness.write_csv(expected, ("n1", "n2", "q_keep", "q_switch", "q_switch_minus_q_keep"),
                       reference_sweep_rows(agent, spec, "acyclic", (1, 0), 3))
     assert out.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("text", ["0", "-3", "2.5", "two"])
+def test_compare_refuses_repeats_below_one(workspace, capsys, text):
+    # `--repeats -3` used to be assigned after the config's checks, so compare ran once
+    out = workspace / "compare.csv"
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli(["compare", "--config", str(workspace / "config.json"), "--out", str(out),
+                 f"--repeats={text}"])
+    assert excinfo.value.code == 2
+    assert f"argument --repeats: repeats must be an integer of at least 1, got {text!r}" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_compare_accepts_repeats_of_one_or_more(workspace):
+    out = workspace / "compare.csv"
+    assert run_cli(["compare", "--config", str(workspace / "config.json"), "--out", str(out),
+                    "--repeats", "2"]) == 0
+    assert out.exists()
+
+
+def test_eval_builds_its_controller_through_the_cli_attribute(workspace, sweep_checkpoint,
+                                                              monkeypatch):
+    # `cmd_eval` reads `cli.GreedyController` when it runs, so a stand-in set there is used.
+    built = []
+
+    class Recording(GreedyController):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(cli, "GreedyController", Recording)
+    assert run_cli(["eval", "--checkpoint", str(sweep_checkpoint),
+                    "--flow", str(workspace / "holdout.json"), "--split", "val"]) == 0
+    assert len(built) == 1

@@ -122,3 +122,68 @@ def test_a_value_that_is_not_an_integer_is_refused_by_name(tmp_path, two_phase_s
 
 def test_no_horizon_is_accepted(tmp_path, two_phase_spec):
     assert write_config(tmp_path, two_phase_spec, horizon=None).horizon is None
+
+
+def profile_entry(**changes):
+    entry = {"profile": UNIFORM, "seed": 1, "duration": 300}
+    entry.update(changes)
+    return {key: value for key, value in entry.items() if value is not None}
+
+
+@pytest.mark.parametrize("entry, message", [
+    # int() used to generate seed 2 under the label ...@seed2.5
+    pytest.param(profile_entry(seed=2.5),
+                 r"flow_profiles\[1\]\.seed must be an integer, got 2\.5", id="seed-2.5"),
+    # int() used to generate seed 1 under the label ...@seedTrue
+    pytest.param(profile_entry(seed=True),
+                 r"flow_profiles\[1\]\.seed must be an integer, got True", id="seed-true"),
+    # int() used to give a 300 s flow
+    pytest.param(profile_entry(duration=300.9),
+                 r"flow_profiles\[1\]\.duration must be an integer, got 300\.9",
+                 id="duration-300.9"),
+    # int() used to fail with 'cannot convert float NaN to integer'
+    pytest.param(profile_entry(duration=float("nan")),
+                 r"flow_profiles\[1\]\.duration must be an integer, got nan", id="duration-nan"),
+    pytest.param(profile_entry(duration=False),
+                 r"flow_profiles\[1\]\.duration must be an integer", id="duration-false"),
+    # a missing key used to fail with a bare KeyError
+    pytest.param(profile_entry(seed=None), r"flow_profiles\[1\] lacks the 'seed' key",
+                 id="no-seed"),
+    pytest.param(profile_entry(duration=None), r"flow_profiles\[1\] lacks the 'duration' key",
+                 id="no-duration"),
+    pytest.param(profile_entry(profile=None), r"flow_profiles\[1\] lacks the 'profile' key",
+                 id="no-profile"),
+    pytest.param(profile_entry(sede=2), r"unknown flow_profiles\[1\] key\(s\) 'sede'; "
+                                        r"accepted keys: profile, seed, duration, label",
+                 id="unknown-key"),
+    pytest.param(UNIFORM, r"flow_profiles\[1\] must be an object with keys profile, seed, "
+                          r"duration", id="not-an-object"),
+])
+def test_a_flow_profile_entry_that_cannot_be_generated_as_written_is_refused(
+        tmp_path, two_phase_spec, entry, message):
+    with pytest.raises(ValueError, match=message):
+        write_config(tmp_path, two_phase_spec, flow_profiles=[profile_entry(), entry])
+
+
+def test_flow_profiles_given_as_one_entry_is_refused(tmp_path, two_phase_spec):
+    with pytest.raises(ValueError, match="flow_profiles must be a list of entries"):
+        write_config(tmp_path, two_phase_spec, flow_profiles=profile_entry())
+
+
+def test_a_well_formed_flow_profile_entry_still_generates_its_flow(tmp_path, two_phase_spec):
+    config = write_config(tmp_path, two_phase_spec, flow_profiles=[
+        profile_entry(), profile_entry(seed=2, duration=200, label="second")])
+    _, flows = harness.load_materials(config)
+    assert [(f.label, f.duration) for f in flows] == [(f"{UNIFORM}@seed1", 300), ("second", 200)]
+    assert flows[0] == core.generate_flow(core.parse_profile(UNIFORM), seed=1, duration=300,
+                                          label=f"{UNIFORM}@seed1")
+
+
+@pytest.mark.parametrize("field, value", [("horizon", 0), ("horizon", -5), ("repeats", 0),
+                                          ("repeats", -3)])
+def test_a_horizon_or_repeats_below_one_is_refused_by_name(tmp_path, two_phase_spec,
+                                                           field, value):
+    # a horizon of 0 used to end in 'empty flow'; repeats 0 used to load
+    with pytest.raises(ValueError, match=f"{field} must be at least 1"):
+        write_config(tmp_path, two_phase_spec, **{field: value})
+    assert getattr(write_config(tmp_path, two_phase_spec, **{field: 1}), field) == 1
