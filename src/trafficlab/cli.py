@@ -171,8 +171,8 @@ def cmd_genflow(args) -> int:
     flow = core.generate_flow(profile, seed=args.seed, duration=args.duration,
                               label=Path(args.out).stem)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    Path(args.out).write_text(json.dumps(core.flow_to_document(flow), indent=2),
-                              encoding="utf-8")
+    # Compact: with an indent, json encodes in pure Python, several times slower.
+    Path(args.out).write_text(json.dumps(core.flow_to_document(flow)), encoding="utf-8")
     print(f"wrote {len(flow.vehicles)} vehicles to {args.out}")
     return 0
 

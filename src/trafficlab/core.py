@@ -363,8 +363,10 @@ class UniformProfile:
     n_lanes: int
 
     def __post_init__(self):
-        if self.rate_per_lane < 0:
-            raise ValueError("arrival rate must be non-negative")
+        # expovariate(inf) is 0.0, so an infinite rate never ends the flow
+        if not (math.isfinite(self.rate_per_lane) and self.rate_per_lane >= 0):
+            raise ValueError(f"rate_per_lane must be non-negative and finite, "
+                             f"got {self.rate_per_lane!r}")
         if self.n_lanes < 1:
             raise ValueError("need at least one lane")
 
@@ -383,10 +385,15 @@ class ClusteredProfile:
     def __post_init__(self):
         if self.cluster_size < 1:
             raise ValueError("cluster_size must be at least 1")
-        if self.inter_cluster_gap <= 0 or self.within_gap <= 0:
-            raise ValueError("gaps must be positive")
-        if not self.lane_weights or min(self.lane_weights) < 0 or sum(self.lane_weights) == 0:
-            raise ValueError("lane_weights must be non-negative with a positive sum")
+        for name in ("inter_cluster_gap", "within_gap"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        weights = self.lane_weights
+        if (not weights or not all(math.isfinite(w) and w >= 0 for w in weights)
+                or sum(weights) == 0):
+            raise ValueError(f"lane_weights must be non-negative and finite with a "
+                             f"positive sum, got {weights!r}")
 
 
 def generate_flow(profile, seed: int, duration: int, label: str = "") -> FlowDataset:
@@ -484,31 +491,49 @@ def flow_to_document(flow: FlowDataset) -> dict:
     }
 
 
+def _lane_weights(text: str) -> tuple[float, ...]:
+    return tuple(float(w) for w in text.split(":"))
+
+
+# Each profile literal's kind, its class and the parser of each parameter.
+_PROFILE_KINDS = {
+    "uniform": (UniformProfile, {"rate_per_lane": float, "n_lanes": int}),
+    "clustered": (ClusteredProfile, {"cluster_size": int, "inter_cluster_gap": float,
+                                     "within_gap": float, "lane_weights": _lane_weights}),
+}
+
+
 def parse_profile(text: str):
     """Parse a profile literal such as
     'uniform(rate_per_lane=0.05,n_lanes=8)' or
     'clustered(cluster_size=5,inter_cluster_gap=60,within_gap=2,lane_weights=1:0:0:0)'.
+
+    A missing, unknown, repeated or unreadable parameter is refused with a
+    ValueError that names it and lists the kind's parameters.
     """
     text = text.strip()
     if "(" not in text or not text.endswith(")"):
         raise ValueError(f"malformed profile {text!r}")
     name, _, body = text.partition("(")
+    if name not in _PROFILE_KINDS:
+        raise ValueError(f"unknown profile kind {name!r}; accepted: {', '.join(_PROFILE_KINDS)}")
+    cls, parsers = _PROFILE_KINDS[name]
+    accepted = f"{name} takes {', '.join(parsers)}"
     kwargs = {}
     for part in body[:-1].split(","):
         if not part.strip():
             continue
-        key, _, value = part.partition("=")
-        kwargs[key.strip()] = value.strip()
-    if name == "uniform":
-        return UniformProfile(
-            rate_per_lane=float(kwargs["rate_per_lane"]), n_lanes=int(kwargs["n_lanes"])
-        )
-    if name == "clustered":
-        weights = tuple(float(w) for w in kwargs["lane_weights"].split(":"))
-        return ClusteredProfile(
-            cluster_size=int(kwargs["cluster_size"]),
-            inter_cluster_gap=float(kwargs["inter_cluster_gap"]),
-            within_gap=float(kwargs["within_gap"]),
-            lane_weights=weights,
-        )
-    raise ValueError(f"unknown profile kind {name!r}")
+        key, _, value = (piece.strip() for piece in part.partition("="))
+        if key not in parsers:
+            raise ValueError(f"unknown {name} parameter {key!r}; {accepted}")
+        if key in kwargs:
+            raise ValueError(f"{name} parameter {key!r} is given twice")
+        try:
+            kwargs[key] = parsers[key](value)
+        except ValueError:
+            raise ValueError(f"{name} parameter {key} cannot be read from {value!r}; "
+                             f"{accepted}") from None
+    missing = [key for key in parsers if key not in kwargs]
+    if missing:
+        raise ValueError(f"{name} profile lacks {', '.join(missing)}; {accepted}")
+    return cls(**kwargs)

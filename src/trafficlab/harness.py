@@ -120,6 +120,16 @@ def _check_flow_profiles(entries) -> None:
                 raise ValueError(f"{where} lacks the {key!r} key")
         for key in ("seed", "duration"):
             core.require_integer(f"{where}.{key}", item[key])
+        # validation and compare cut a flow into two halves of at least 1 s
+        if item["duration"] < 2:
+            raise ValueError(f"{where}.duration must be at least 2, got {item['duration']!r}")
+        if not isinstance(item["profile"], str):
+            raise ValueError(f"{where}.profile must be a profile literal such as "
+                             f"'uniform(rate_per_lane=0.05,n_lanes=8)', got {item['profile']!r}")
+        try:
+            core.parse_profile(item["profile"])
+        except ValueError as exc:
+            raise ValueError(f"{where}.profile: {exc}") from None
 
 
 def _resolve(base: Path, p: str) -> Path:

@@ -187,3 +187,50 @@ def test_a_horizon_or_repeats_below_one_is_refused_by_name(tmp_path, two_phase_s
     with pytest.raises(ValueError, match=f"{field} must be at least 1"):
         write_config(tmp_path, two_phase_spec, **{field: value})
     assert getattr(write_config(tmp_path, two_phase_spec, **{field: 1}), field) == 1
+
+
+@pytest.mark.parametrize("entry, message", [
+    # 'int' object has no attribute 'strip' before
+    pytest.param(profile_entry(profile=5),
+                 r"flow_profiles\[1\]\.profile must be a profile literal such as "
+                 r"'uniform\(rate_per_lane=0\.05,n_lanes=8\)', got 5", id="profile-5"),
+    pytest.param(profile_entry(profile=["uniform"]),
+                 r"flow_profiles\[1\]\.profile must be a profile literal", id="profile-list"),
+    # a bare KeyError: 'n_lanes' before, once the flow was generated
+    pytest.param(profile_entry(profile="uniform(rate_per_lane=0.05)"),
+                 r"flow_profiles\[1\]\.profile: uniform profile lacks n_lanes; "
+                 r"uniform takes rate_per_lane, n_lanes", id="missing-parameter"),
+    pytest.param(profile_entry(profile="uniform(rate_per_lane=0.05,n_lanes=4,bogus=3)"),
+                 r"flow_profiles\[1\]\.profile: unknown uniform parameter 'bogus'",
+                 id="unknown-parameter"),
+    pytest.param(profile_entry(profile="uniform(rate_per_lane=abc,n_lanes=4)"),
+                 r"flow_profiles\[1\]\.profile: uniform parameter rate_per_lane cannot be "
+                 r"read from 'abc'", id="unreadable-parameter"),
+    pytest.param(profile_entry(profile="uniform(rate_per_lane=inf,n_lanes=4)"),
+                 r"flow_profiles\[1\]\.profile: rate_per_lane must be non-negative and finite",
+                 id="infinite-rate"),
+    pytest.param(profile_entry(profile="poisson(rate=1)"),
+                 r"flow_profiles\[1\]\.profile: unknown profile kind 'poisson'", id="kind"),
+    # 'dataset too short to split into halves' on compare before
+    pytest.param(profile_entry(duration=0),
+                 r"flow_profiles\[1\]\.duration must be at least 2, got 0", id="duration-0"),
+    pytest.param(profile_entry(duration=1),
+                 r"flow_profiles\[1\]\.duration must be at least 2, got 1", id="duration-1"),
+    # 'duration must be non-negative' before
+    pytest.param(profile_entry(duration=-5),
+                 r"flow_profiles\[1\]\.duration must be at least 2, got -5", id="duration-minus-5"),
+])
+def test_a_flow_profile_that_cannot_be_parsed_or_split_is_refused_at_load(
+        tmp_path, two_phase_spec, entry, message, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("no flow may be generated before the config loads")
+    monkeypatch.setattr(core, "generate_flow", never)
+    with pytest.raises(ValueError, match=message):
+        write_config(tmp_path, two_phase_spec, flow_profiles=[profile_entry(), entry])
+
+
+def test_a_two_second_flow_profile_is_the_shortest_that_compare_runs(tmp_path, two_phase_spec):
+    config = write_config(tmp_path, two_phase_spec, flow_profiles=[
+        profile_entry(profile="uniform(rate_per_lane=5,n_lanes=4)", duration=2)])
+    rows = harness.compare(config)
+    assert [(r["split"], r["controller"]) for r in rows] == [("val", "fixed"), ("test", "fixed")]

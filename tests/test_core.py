@@ -2,7 +2,9 @@
 
 import itertools
 import json
+import math
 import random
+import re
 
 import pytest
 
@@ -306,3 +308,65 @@ class TestCheckFlow:
         flow = FlowDataset((Vehicle(4, 0, 1, body_length=body),), duration=60, label="f")
         with pytest.raises(ValueError, match=r"flow 'f': vehicle 4: body length .* not positive"):
             core.check_flow(two_phase_spec, flow)
+
+
+UNIFORM_NAMES = "uniform takes rate_per_lane, n_lanes"
+CLUSTERED_NAMES = "clustered takes cluster_size, inter_cluster_gap, within_gap, lane_weights"
+
+
+class TestParseProfileRefusals:
+    @pytest.mark.parametrize("text, message", [
+        # a bare KeyError: 'n_lanes' before
+        ("uniform(rate_per_lane=0.05)", f"uniform profile lacks n_lanes; {UNIFORM_NAMES}"),
+        ("uniform()", f"uniform profile lacks rate_per_lane, n_lanes; {UNIFORM_NAMES}"),
+        ("clustered(cluster_size=5,within_gap=2)",
+         f"clustered profile lacks inter_cluster_gap, lane_weights; {CLUSTERED_NAMES}"),
+        # silently ignored before
+        ("uniform(rate_per_lane=0.05,n_lanes=8,bogus=3)",
+         f"unknown uniform parameter 'bogus'; {UNIFORM_NAMES}"),
+        ("clustered(cluster_size=5,inter_cluster_gap=60,within_gap=2,lane_weights=1,n_lanes=4)",
+         f"unknown clustered parameter 'n_lanes'; {CLUSTERED_NAMES}"),
+        # "could not convert string to float: 'abc'" before
+        ("uniform(rate_per_lane=abc,n_lanes=8)",
+         f"uniform parameter rate_per_lane cannot be read from 'abc'; {UNIFORM_NAMES}"),
+        ("uniform(rate_per_lane=0.05,n_lanes=2.5)",
+         f"uniform parameter n_lanes cannot be read from '2.5'; {UNIFORM_NAMES}"),
+        ("uniform(rate_per_lane,n_lanes=8)",
+         f"uniform parameter rate_per_lane cannot be read from ''; {UNIFORM_NAMES}"),
+        ("clustered(cluster_size=5,inter_cluster_gap=60,within_gap=2,lane_weights=1::2)",
+         f"clustered parameter lane_weights cannot be read from '1::2'; {CLUSTERED_NAMES}"),
+        # the last one won before
+        ("uniform(rate_per_lane=0.05,n_lanes=8,n_lanes=4)",
+         "uniform parameter 'n_lanes' is given twice"),
+        ("poisson(rate=1)", "unknown profile kind 'poisson'; accepted: uniform, clustered"),
+    ])
+    def test_names_the_parameter_and_lists_the_accepted_ones(self, text, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            core.parse_profile(text)
+
+    def test_spaces_and_a_trailing_comma_are_still_accepted(self):
+        p = core.parse_profile(" uniform( n_lanes = 8 , rate_per_lane = 0.05 , ) ")
+        assert p == UniformProfile(0.05, 8)
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+    def test_a_non_finite_rate_is_refused_before_any_flow_is_generated(self, value):
+        # expovariate(inf) is 0.0, so generate_flow used to loop without end
+        with pytest.raises(ValueError, match="^rate_per_lane must be non-negative and finite"):
+            core.parse_profile(f"uniform(rate_per_lane={value},n_lanes=8)")
+        with pytest.raises(ValueError, match="^rate_per_lane must be non-negative and finite"):
+            UniformProfile(float(value), 8)
+
+    @pytest.mark.parametrize("field", ["inter_cluster_gap", "within_gap"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -math.inf])
+    def test_a_non_finite_gap_is_refused_by_name(self, field, value):
+        gaps = {"inter_cluster_gap": 60.0, "within_gap": 2.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be positive and finite, got"):
+            ClusteredProfile(cluster_size=5, lane_weights=(1.0,), **gaps)
+        literal = ",".join(f"{k}={v}" for k, v in gaps.items())
+        with pytest.raises(ValueError, match=f"^{field} must be positive and finite, got"):
+            core.parse_profile(f"clustered(cluster_size=5,{literal},lane_weights=1)")
+
+    @pytest.mark.parametrize("weights", [(1.0, math.nan), (math.inf, 1.0), (1.0, -1.0), ()])
+    def test_bad_lane_weights_are_refused_by_name(self, weights):
+        with pytest.raises(ValueError, match="^lane_weights must be non-negative and finite"):
+            ClusteredProfile(5, 60.0, 2.0, weights)

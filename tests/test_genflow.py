@@ -1,0 +1,69 @@
+"""The flow file `genflow` writes: compact JSON with the same content, so every
+result computed from it is the same as from an indented file."""
+
+import json
+
+import pytest
+
+from trafficlab import cli, core, harness
+
+PROFILES = [
+    "uniform(rate_per_lane=0.05,n_lanes=8)",
+    "clustered(cluster_size=6,inter_cluster_gap=3,within_gap=1,lane_weights=1:1:1:1:1:1:1:1)",
+]
+
+
+def genflow(out, profile, seed, duration):
+    assert cli.main(["genflow", "--profile", profile, "--seed", str(seed),
+                     "--duration", str(duration), "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_the_file_is_the_compact_document_byte_for_byte(tmp_path, profile):
+    path = genflow(tmp_path / "north.json", profile, seed=7, duration=900)
+    flow = core.generate_flow(core.parse_profile(profile), seed=7, duration=900, label="north")
+    assert path.read_bytes() == json.dumps(core.flow_to_document(flow)).encode()
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_the_file_loads_as_the_generated_flow(tmp_path, profile):
+    path = genflow(tmp_path / "north.json", profile, seed=7, duration=900)
+    flow = core.generate_flow(core.parse_profile(profile), seed=7, duration=900, label="north")
+    assert core.load_flow(path.read_text(encoding="utf-8")) == flow
+
+
+def test_compare_reads_the_compact_and_the_indented_file_alike(tmp_path, default_spec):
+    csvs = []
+    for layout in ("compact", "indented"):
+        work = tmp_path / layout
+        for k, profile in enumerate(PROFILES):
+            path = genflow(work / f"flow{k}.json", profile, seed=3 + k, duration=600)
+            if layout == "indented":
+                doc = json.loads(path.read_text(encoding="utf-8"))
+                path.write_text(json.dumps(doc, indent=2), encoding="utf-8")
+        (work / "spec.json").write_text(json.dumps(core.intersection_to_document(default_spec)))
+        (work / "config.json").write_text(json.dumps({
+            "intersection": "spec.json", "flows": ["flow0.json", "flow1.json"],
+            "controllers": ["fixed", "random", "sotl1", "sotl2"], "seed": 5}))
+        rows = harness.compare(harness.ExperimentConfig.from_file(work / "config.json"))
+        harness.write_csv(work / "compare.csv", harness.COMPARE_COLUMNS, rows)
+        csvs.append((work / "compare.csv").read_bytes())
+    assert len(csvs[0].splitlines()) == 1 + 4 * 2 * 2
+    assert csvs[0] == csvs[1]
+
+
+@pytest.mark.parametrize("profile, message", [
+    ("uniform(rate_per_lane=0.05)", "uniform profile lacks n_lanes"),
+    ("uniform(rate_per_lane=0.05,n_lanes=8,bogus=3)", "unknown uniform parameter 'bogus'"),
+    # generate_flow with this rate never ends (it is stubbed out here)
+    ("uniform(rate_per_lane=inf,n_lanes=8)", "rate_per_lane must be non-negative and finite"),
+])
+def test_a_bad_profile_fails_before_any_file_is_written(tmp_path, profile, message,
+                                                        monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a bad profile must be refused before generate_flow runs")
+    monkeypatch.setattr(core, "generate_flow", never)
+    with pytest.raises(ValueError, match=message):
+        genflow(tmp_path / "flow.json", profile, seed=1, duration=60)
+    assert not (tmp_path / "flow.json").exists()
