@@ -63,20 +63,49 @@ class RandomController:
         return random_policy(self.rng, self.n_phases)
 
 
-class CutoffController:
-    """Cyclic threshold scheme: integrate red-lane vehicle counts per phase and
-    advance to the next phase once its integral exceeds the threshold."""
+class _ThresholdController:
+    """What the two threshold schemes share: their parameters, each phase's
+    lanes and the detectors, read in one walk per lane (see `_walk`)."""
 
     def __init__(self, spec: IntersectionSpec, params: SotlParams | None = None):
         self.spec = spec
         self.params = params or SotlParams()
-        self.phase_integral = [0.0] * spec.n_phases
         self._phase_lanes = [spec.green_lanes(p) for p in range(spec.n_phases)]
+        self._edges = _edges(spec, self.params.detection_distance)
+        # Per phase, whether it serves each lane; while yellow runs none is.
+        self._served = [[j in lanes for j in range(spec.n_lanes)] for lanes in self._phase_lanes]
+        self._unserved = [False] * spec.n_lanes
+        self._last = [0] * spec.n_lanes
+
+    def _detect(self, state: SimState, near_green: bool):
+        """`_walk`'s counts and approaching vehicles, and the seconds of green."""
+        sig = state.signal
+        # A decision mid-yellow would be ignored by the environment, so no lane
+        # is served and the phase clock reads 0 until the pending phase lands.
+        if sig.yellow_remaining > 0:
+            served, phase_green = self._unserved, 0
+        else:
+            served, phase_green = self._served[sig.current_phase], sig.time_in_phase
+        counts, approaching = _walk(state.lanes, self._edges, served, self._last, near_green)
+        return counts, approaching, phase_green
+
+    def reset(self) -> None:
+        self._last = [0] * self.spec.n_lanes
+
+
+class CutoffController(_ThresholdController):
+    """Cyclic threshold scheme: integrate red-lane vehicle counts per phase and
+    advance to the next phase once its integral exceeds the threshold."""
+
+    def __init__(self, spec: IntersectionSpec, params: SotlParams | None = None):
+        super().__init__(spec, params)
+        self.phase_integral = [0.0] * spec.n_phases
         # Per lane, the phases that serve it.
         self._lane_phases = [[i for i, lanes in enumerate(self._phase_lanes) if j in lanes]
                              for j in range(spec.n_lanes)]
 
     def reset(self) -> None:
+        super().reset()
         self.phase_integral = [0.0] * self.spec.n_phases
 
     def step(self, red_lane_counts, current_phase: int, phase_green_seconds: int) -> int:
@@ -96,28 +125,20 @@ class CutoffController:
         return current_phase
 
     def decide(self, state: SimState) -> int:
-        counts = _detection_counts(state, self.params.detection_distance)
-        sig = state.signal
-        # A decision mid-yellow would be ignored by the environment, so the
-        # phase clock is reported as 0 until the pending phase lands.
-        if sig.yellow_remaining > 0:
-            return self.step(counts, sig.current_phase, 0)
-        for j in self._phase_lanes[sig.current_phase]:
-            counts[j] = 0
-        return self.step(counts, sig.current_phase, sig.time_in_phase)
+        counts, _, phase_green = self._detect(state, False)
+        return self.step(counts, state.signal.current_phase, phase_green)
 
 
-class MaxIntegralController:
+class MaxIntegralController(_ThresholdController):
     """Acyclic threshold scheme using per-lane integrals so that serving a lane
     clears its demand from every phase that shares it."""
 
     def __init__(self, spec: IntersectionSpec, params: SotlParams | None = None):
-        self.spec = spec
-        self.params = params or SotlParams()
+        super().__init__(spec, params)
         self.lane_integral = [0.0] * spec.n_lanes
-        self._phase_lanes = [spec.green_lanes(p) for p in range(spec.n_phases)]
 
     def reset(self) -> None:
+        super().reset()
         self.lane_integral = [0.0] * self.spec.n_lanes
 
     def phase_integrals(self) -> list[float]:
@@ -155,54 +176,69 @@ class MaxIntegralController:
         return best
 
     def decide(self, state: SimState) -> int:
-        counts = _detection_counts(state, self.params.detection_distance)
-        sig = state.signal
-        in_yellow = sig.yellow_remaining > 0
-        near_green = 0
-        if not in_yellow:
-            # Vehicles passing a green light are being served, not waiting, so
-            # they contribute nothing to the demand integrals.
-            for j in self._phase_lanes[sig.current_phase]:
-                counts[j] = 0
-            near_green = _approaching_near_line(
-                state, self._phase_lanes[sig.current_phase], self.params.detection_distance
-            )
-        phase_green = 0 if in_yellow else sig.time_in_phase
-        return self.step(counts, near_green, sig.current_phase, phase_green)
+        # Vehicles passing a green light are being served, not waiting; the
+        # approaching ones in range are the platoon the guard protects.
+        counts, near_green, phase_green = self._detect(state, True)
+        return self.step(counts, near_green, state.signal.current_phase, phase_green)
 
 
-def _detection_counts(state: SimState, detection_distance: float) -> list[int]:
-    """Vehicles (moving or waiting) within detection range of each stop line.
+def _edges(spec: IntersectionSpec, detection_distance: float) -> list[float]:
+    """Per lane, the position from which a vehicle is within detection range."""
+    return [lane.length_m - detection_distance for lane in spec.lanes]
 
-    Lanes are front first with falling positions, so counting stops at the
-    first vehicle behind the detection edge.
+
+def _walk(lanes, edges, served, last, near_green: bool) -> tuple[list[int], int]:
+    """The detectors in one walk per lane, front first up to the detection edge.
+
+    Returns per lane the vehicles in detection range, 0 on a served lane, and,
+    if `near_green`, the approaching vehicles in range of the served lanes.
+    Lanes are front first with falling positions, so an unserved lane's count
+    is the index of its first vehicle behind the edge. The lane's count in
+    `last` is reused unwalked when the vehicle before that index is in range
+    and the one at it is not (or the lane ends there). That test reads only the
+    lane as it is, so edits from outside and other states are counted right.
     """
     counts = []
-    for lane, lane_spec in zip(state.lanes, state.spec.lanes):
-        n = 0
-        if lane:
-            edge = lane_spec.length_m - detection_distance
+    approaching = 0
+    for j, lane in enumerate(lanes):
+        if not lane:
+            counts.append(0)
+            continue
+        edge = edges[j]
+        if served[j]:
+            counts.append(0)
+            if near_green:
+                for veh in lane:
+                    if not veh.position >= edge:
+                        break
+                    if veh.status == APPROACHING:
+                        approaching += 1
+            continue
+        n = last[j]
+        if (n > len(lane) or (n and not lane[n - 1].position >= edge)
+                or (n < len(lane) and lane[n].position >= edge)):
+            n = 0
             for veh in lane:
                 if not veh.position >= edge:
                     break
                 n += 1
+            last[j] = n
         counts.append(n)
-    return counts
+    return counts, approaching
+
+
+def _detection_counts(state: SimState, detection_distance: float) -> list[int]:
+    """Vehicles (moving or waiting) within detection range of each stop line."""
+    n = len(state.lanes)
+    edges = _edges(state.spec, detection_distance)
+    return _walk(state.lanes, edges, [False] * n, [0] * n, False)[0]
 
 
 def _approaching_near_line(state: SimState, lanes, detection_distance: float) -> int:
-    total = 0
-    for j in lanes:
-        lane = state.lanes[j]
-        if not lane:
-            continue
-        edge = state.spec.lanes[j].length_m - detection_distance
-        for veh in lane:
-            if not veh.position >= edge:
-                break
-            if veh.status == APPROACHING:
-                total += 1
-    return total
+    """Approaching vehicles within detection range of the stop lines of `lanes`."""
+    served = [j in lanes for j in range(len(state.lanes))]
+    edges = _edges(state.spec, detection_distance)
+    return _walk(state.lanes, edges, served, [0] * len(served), True)[1]
 
 
 CONTROLLER_NAMES = ("fixed", "random", "sotl1", "sotl2")

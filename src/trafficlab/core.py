@@ -418,10 +418,13 @@ def generate_flow(profile, seed: int, duration: int, label: str = "") -> FlowDat
         start = 0.0
         while start < duration:
             lane = rng.choices(lanes, weights=profile.lane_weights)[0]
+            # within_gap > 0, so a platoon's spawns only grow: the first one
+            # at or past the duration ends it.
             for k in range(profile.cluster_size):
                 spawn = int(start + k * profile.within_gap)
-                if spawn < duration:
-                    raw.append((spawn, lane))
+                if spawn >= duration:
+                    break
+                raw.append((spawn, lane))
             start += profile.inter_cluster_gap
     else:
         raise TypeError(f"unknown flow profile {type(profile).__name__}")
@@ -465,19 +468,37 @@ def split_halves(dataset: FlowDataset) -> tuple[FlowDataset, FlowDataset]:
 
 
 def load_flow(text: str) -> FlowDataset:
-    """Parse a flow document: {"duration_s": int, "vehicles": [{id, spawn_time_s, movement}]}."""
+    """Parse a flow document: {"duration_s": int, "label": str (optional),
+    "vehicles": [{id, spawn_time_s, movement}]}.
+
+    A document that is not an object, lacks a key or holds a value that is not
+    an integer is refused with a ValueError naming the path, such as
+    `vehicles[17].spawn_time_s`.
+    """
     doc = json.loads(text)
-    vehicles = tuple(
-        Vehicle(
-            id=int(v["id"]),
-            spawn_time=int(v["spawn_time_s"]),
-            movement_id=int(v["movement"]),
-        )
-        for v in doc["vehicles"]
-    )
-    return FlowDataset(
-        vehicles=vehicles, duration=int(doc["duration_s"]), label=str(doc.get("label", ""))
-    )
+    if not isinstance(doc, dict):
+        raise ValueError(f"a flow document must be a JSON object, got {type(doc).__name__}")
+    for key in ("duration_s", "vehicles"):
+        if key not in doc:
+            raise ValueError(f"flow document lacks {key}")
+    require_integer("duration_s", doc["duration_s"])
+    rows = doc["vehicles"]
+    if not isinstance(rows, list):
+        raise ValueError(f"vehicles must be an array, got {type(rows).__name__}")
+    vehicles = []
+    for k, row in enumerate(rows):
+        if not isinstance(row, dict):
+            raise ValueError(f"vehicles[{k}] must be an object, got {type(row).__name__}")
+        vid, spawn, movement = row.get("id"), row.get("spawn_time_s"), row.get("movement")
+        # json gives int for an integer; anything else is checked by name.
+        if type(vid) is not int or type(spawn) is not int or type(movement) is not int:
+            for name, value in zip(("id", "spawn_time_s", "movement"), (vid, spawn, movement)):
+                if name not in row:
+                    raise ValueError(f"vehicles[{k}] lacks {name}")
+                require_integer(f"vehicles[{k}].{name}", value)
+        vehicles.append(Vehicle(vid, spawn, movement))
+    return FlowDataset(vehicles=tuple(vehicles), duration=doc["duration_s"],
+                       label=str(doc.get("label", "")))
 
 
 def flow_to_document(flow: FlowDataset) -> dict:

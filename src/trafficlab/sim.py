@@ -53,8 +53,11 @@ class SimState:
     completed: list = field(default_factory=list)       # (vehicle id, spawn_time, exit_time)
     flow_cursor: int = 0
     spawned: int = 0
-    # Derived lookup tables, not part of the semantic state.
+    # Derived lookup tables, not part of the semantic state: per phase, each
+    # lane's green flag; per lane, (length_m, vmax_ms); per movement, its lane.
     _lane_green: list = field(default_factory=list, compare=False, repr=False)
+    _lane_geometry: list = field(default_factory=list, compare=False, repr=False)
+    _movement_lane: list = field(default_factory=list, compare=False, repr=False)
     # Per lane, the length of the settled head of a red queue and its last
     # vehicle; see tick.
     _head: list = field(default_factory=list, compare=False, repr=False)
@@ -84,12 +87,14 @@ def init(spec: IntersectionSpec, flow: FlowDataset) -> SimState:
         [j in spec.green_lanes(p) for j in range(spec.n_lanes)]
         for p in range(spec.n_phases)
     ]
+    state._lane_geometry = [(lane.length_m, lane.vmax_ms) for lane in spec.lanes]
+    state._movement_lane = [m.in_lane for m in spec.movements]
     return state
 
 
 def command_signal(state: SimState, target_phase: int) -> None:
     """Request a phase. Same-phase requests and requests during yellow are ignored."""
-    if not (0 <= target_phase < state.spec.n_phases):
+    if not (0 <= target_phase < len(state._lane_green)):
         raise ValueError(f"invalid phase id {target_phase}")
     sig = state.signal
     if sig.yellow_remaining > 0 or target_phase == sig.current_phase:
@@ -113,21 +118,26 @@ def tick(state: SimState) -> None:
     kept per lane across red ticks (a green tick clears it) and recomputed
     from the front when the lane's list no longer holds the head's last
     vehicle at its index, as after vehicles are put on the lane from outside.
+
+    Each lane's length and speed limit and each movement's lane come from
+    tables that `init` builds once.
     """
-    spec = state.spec
     sig = state.signal
     greens = state._lane_green[sig.current_phase]
     crossing_open = sig.yellow_remaining == 0
+    geometry = state._lane_geometry
     heads = state._head
     head_lasts = state._head_last
     no_leader = math.inf
     jam_gap = JAM_GAP_M
+    clock = state.clock
+    next_clock = clock + 1
+    complete = state.completed.append
 
     for j, lane in enumerate(state.lanes):
         if not lane:
             continue
-        length = spec.lanes[j].length_m
-        vmax = spec.lanes[j].vmax_ms
+        length, vmax = geometry[j]
         if crossing_open and greens[j]:
             exits = 0
             cap = no_leader
@@ -137,7 +147,7 @@ def tick(state: SimState) -> None:
                 if cap < target:
                     target = cap
                 if target >= length:
-                    state.completed.append((veh.id, veh.spawn_time, state.clock + 1))
+                    complete((veh.id, veh.spawn_time, next_clock))
                     exits += 1
                 else:
                     speed = target - position
@@ -195,37 +205,31 @@ def tick(state: SimState) -> None:
     else:
         sig.time_in_phase += 1
 
-    flow = state.flow
-    while state.flow_cursor < len(flow.vehicles) and (
-        flow.vehicles[state.flow_cursor].spawn_time <= state.clock
-    ):
-        vehicle = flow.vehicles[state.flow_cursor]
-        state.flow_cursor += 1
-        state.backlog[spec.lane_of_movement(vehicle.movement_id)].append(vehicle)
-        state.spawned += 1
+    vehicles = state.flow.vehicles
+    cursor = state.flow_cursor
+    backlog = state.backlog
+    lane_of = state._movement_lane
+    while cursor < len(vehicles) and vehicles[cursor].spawn_time <= clock:
+        vehicle = vehicles[cursor]
+        backlog[lane_of[vehicle.movement_id]].append(vehicle)
+        cursor += 1
+    state.spawned += cursor - state.flow_cursor
+    state.flow_cursor = cursor
 
-    for j, queue in enumerate(state.backlog):
+    for j, queue in enumerate(backlog):
         if not queue:
             continue
         lane = state.lanes[j]
         if lane:
             rear = lane[-1]
-            if rear.position < rear.body_length + JAM_GAP_M:
+            if rear.position < rear.body_length + jam_gap:
                 continue
         vehicle = queue.popleft()
-        lane.append(
-            VehicleState(
-                id=vehicle.id,
-                lane=j,
-                position=0.0,
-                speed=0.0,
-                status=WAITING,
-                spawn_time=vehicle.spawn_time,
-                body_length=vehicle.body_length,
-            )
-        )
+        # VehicleState(id, lane, position, speed, status, spawn_time, body_length)
+        lane.append(VehicleState(vehicle.id, j, 0.0, 0.0, WAITING, vehicle.spawn_time,
+                                 vehicle.body_length))
 
-    state.clock += 1
+    state.clock = next_clock
 
 
 def lane_metrics(state: SimState):

@@ -5,6 +5,7 @@ import json
 import math
 import random
 import re
+import signal
 
 import pytest
 
@@ -370,3 +371,102 @@ class TestParseProfileRefusals:
     def test_bad_lane_weights_are_refused_by_name(self, weights):
         with pytest.raises(ValueError, match="^lane_weights must be non-negative and finite"):
             ClusteredProfile(5, 60.0, 2.0, weights)
+
+
+def _flow_text(vehicles, duration=10, **extra):
+    return json.dumps({"duration_s": duration, "vehicles": vehicles, **extra})
+
+
+GOOD_VEHICLE = {"id": 0, "spawn_time_s": 1, "movement": 0}
+
+
+class TestLoadFlowRefusals:
+    @pytest.mark.parametrize("text, message", [
+        pytest.param("[]", "a flow document must be a JSON object, got list", id="array"),
+        pytest.param('{"vehicles": []}', "flow document lacks duration_s", id="no-duration"),
+        pytest.param('{"duration_s": 10}', "flow document lacks vehicles", id="no-vehicles"),
+        pytest.param('{"duration_s": 100.9, "vehicles": []}',
+                     "duration_s must be an integer, got 100.9", id="fractional-duration"),
+        pytest.param('{"duration_s": true, "vehicles": []}',
+                     "duration_s must be an integer, got True", id="bool-duration"),
+        pytest.param('{"duration_s": 10, "vehicles": {}}', "vehicles must be an array, got dict",
+                     id="vehicles-object"),
+        pytest.param(_flow_text([5]), "vehicles[0] must be an object, got int",
+                     id="vehicle-number"),
+        pytest.param(_flow_text([GOOD_VEHICLE] * 17 + [dict(GOOD_VEHICLE, spawn_time_s=2.7)]),
+                     "vehicles[17].spawn_time_s must be an integer, got 2.7",
+                     id="fractional-spawn"),
+        pytest.param(_flow_text([dict(GOOD_VEHICLE, spawn_time_s=3.0)]),
+                     "vehicles[0].spawn_time_s must be an integer, got 3.0", id="float-spawn"),
+        pytest.param('{"duration_s": 10, "vehicles": '
+                     '[{"id": 0, "spawn_time_s": NaN, "movement": 0}]}',
+                     "vehicles[0].spawn_time_s must be an integer, got nan", id="nan-spawn"),
+        pytest.param(_flow_text([dict(GOOD_VEHICLE, movement=True)]),
+                     "vehicles[0].movement must be an integer, got True", id="bool-movement"),
+        pytest.param(_flow_text([dict(GOOD_VEHICLE, id=0.5)]),
+                     "vehicles[0].id must be an integer, got 0.5", id="fractional-id"),
+        pytest.param(_flow_text([dict(GOOD_VEHICLE, id="3")]),
+                     "vehicles[0].id must be an integer, got '3'", id="string-id"),
+        pytest.param(_flow_text([dict(GOOD_VEHICLE, id=None)]),
+                     "vehicles[0].id must be an integer, got None", id="null-id"),
+        pytest.param(_flow_text([GOOD_VEHICLE, {"id": 1, "movement": 0}]),
+                     "vehicles[1] lacks spawn_time_s", id="missing-spawn"),
+    ])
+    def test_names_the_path(self, text, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            core.load_flow(text)
+
+    def test_a_well_formed_document_loads(self):
+        vehicles = [GOOD_VEHICLE, {"id": 7, "spawn_time_s": 9, "movement": 3}]
+        flow = core.load_flow(_flow_text(vehicles, label="a"))
+        assert flow == FlowDataset((Vehicle(0, 1, 0), Vehicle(7, 9, 3)), 10, "a")
+
+
+def reference_clustered_spawns(profile, seed, duration):
+    """The clustered generator's (spawn, lane) pairs with every platoon run to
+    its full size, as it was before platoons stopped at the duration."""
+    rng = random.Random(seed)
+    raw = []
+    lanes = list(range(len(profile.lane_weights)))
+    start = 0.0
+    while start < duration:
+        lane = rng.choices(lanes, weights=profile.lane_weights)[0]
+        for k in range(profile.cluster_size):
+            spawn = int(start + k * profile.within_gap)
+            if spawn < duration:
+                raw.append((spawn, lane))
+        start += profile.inter_cluster_gap
+    raw.sort(key=lambda item: item[0])
+    return raw
+
+
+class TestPlatoonStopsAtTheDuration:
+    def test_same_vehicles_as_full_platoons(self):
+        rng = random.Random(4)
+        for _ in range(300):
+            profile = ClusteredProfile(
+                cluster_size=rng.randint(1, 40),
+                inter_cluster_gap=rng.choice((0.5, 3.0, 7.3, 60.0)),
+                within_gap=rng.choice((0.01, 0.4, 1.0, 2.5, 9.9)),
+                lane_weights=tuple(rng.choice((0.0, 0.3, 1.0)) for _ in range(3)) + (1.0,),
+            )
+            seed, duration = rng.randrange(100), rng.randint(1, 400)
+            flow = core.generate_flow(profile, seed=seed, duration=duration)
+            assert ([(v.spawn_time, v.movement_id) for v in flow.vehicles]
+                    == reference_clustered_spawns(profile, seed, duration))
+
+    def test_a_huge_platoon_costs_only_the_vehicles_it_yields(self):
+        profile = core.parse_profile("clustered(cluster_size=100000000,inter_cluster_gap=60,"
+                                     "within_gap=1,lane_weights=1:1)")
+
+        def too_slow(signum, frame):
+            raise TimeoutError("the platoon ran on past the duration")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(10)
+        try:
+            flow = core.generate_flow(profile, seed=1, duration=60)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert [v.spawn_time for v in flow.vehicles] == list(range(60))
