@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import json
 import math
 import os
-from dataclasses import dataclass, asdict
+import zipfile
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from . import qnet
+from . import core, qnet
 from .core import IntersectionSpec, require_integers
 from .env import ActionSpace, Transition, decode_action, observe
 from .qnet import Adam, QNetwork
@@ -247,29 +249,34 @@ class GreedyController:
         return decode_action(self.space, action, sig.current_phase)
 
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+
+# The keys `run_training` stores in a checkpoint's meta, which `eval` and
+# `sweep` read back.
+META_KEYS = ("variant", "action_mode", "process", "intersection")
 
 
 def save_checkpoint(path, agent: DQNAgent, meta: dict | None = None) -> None:
-    """Write agent parameters, optimizer moments, config, and RNG state.
+    """Write a version-2 checkpoint: the agent's four flat vectors (`net`,
+    `target`, `adam_m`, `adam_v`) as they live, their `layers`, `adam_t`,
+    `counters`, and `config`, `meta` and `rng_state` as JSON objects.
 
     The round trip through load_checkpoint is bit-exact. The file is
     replaced atomically: a save that fails leaves the previous one in place.
     """
-    arrays = {"version": np.asarray(CHECKPOINT_VERSION, dtype=np.int64)}
-    arrays.update(qnet.save_network_arrays("net", agent.net))
-    arrays.update(qnet.save_network_arrays("target", agent.target))
-    for k, m in enumerate(agent.net.split(agent.optimizer.m)):
-        arrays[f"adam_m{k}"] = m
-    for k, v in enumerate(agent.net.split(agent.optimizer.v)):
-        arrays[f"adam_v{k}"] = v
-    arrays["adam_t"] = np.asarray(agent.optimizer.t, dtype=np.int64)
-    arrays["counters"] = np.asarray(
-        [agent.transitions_seen, agent.updates_done], dtype=np.int64
-    )
-    arrays["config"] = qnet.encode_json(asdict(agent.config))
-    arrays["meta"] = qnet.encode_json(meta or {})
-    arrays["rng_state"] = qnet.encode_json(agent.rng.bit_generator.state)
+    arrays = {
+        "version": np.asarray(CHECKPOINT_VERSION, dtype=np.int64),
+        "layers": np.asarray(agent.net.layer_sizes, dtype=np.int64),
+        "net": agent.net.flat,
+        "target": agent.target.flat,
+        "adam_m": agent.optimizer.m,
+        "adam_v": agent.optimizer.v,
+        "adam_t": np.asarray(agent.optimizer.t, dtype=np.int64),
+        "counters": np.asarray([agent.transitions_seen, agent.updates_done], dtype=np.int64),
+        "config": np.asarray(json.dumps(asdict(agent.config), sort_keys=True)),
+        "meta": np.asarray(json.dumps(meta or {}, sort_keys=True)),
+        "rng_state": np.asarray(json.dumps(agent.rng.bit_generator.state, sort_keys=True)),
+    }
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     partial = path.with_name(path.name + ".tmp")
@@ -283,23 +290,109 @@ def save_checkpoint(path, agent: DQNAgent, meta: dict | None = None) -> None:
 
 
 def load_checkpoint(path) -> tuple[DQNAgent, dict]:
-    """Rebuild an agent (and its experiment metadata) from save_checkpoint output."""
-    with np.load(path, allow_pickle=False) as data:
-        version = int(data["version"])
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        config = DQNConfig(**qnet.decode_json(data["config"]))
-        meta = qnet.decode_json(data["meta"])
-        net = qnet.load_network_arrays("net", data)
-        agent = DQNAgent(net.in_dim, net.out_dim, config)
-        agent.net = net
-        agent.target = qnet.load_network_arrays("target", data)
-        agent.optimizer = Adam(agent.net, lr=config.lr)
-        agent.optimizer.t = int(data["adam_t"])
-        moments = zip(net.split(agent.optimizer.m), net.split(agent.optimizer.v))
-        for k, (m, v) in enumerate(moments):
-            m[...] = data[f"adam_m{k}"]
-            v[...] = data[f"adam_v{k}"]
-        agent.transitions_seen, agent.updates_done = (int(x) for x in data["counters"])
-        agent.rng.bit_generator.state = qnet.decode_json(data["rng_state"])
+    """Rebuild an agent (and its experiment metadata) from save_checkpoint output.
+
+    The one reader of checkpoint files. It refuses, with a ValueError naming
+    the path and the member, a file that is not a readable npz file, a
+    version other than 2, a missing member, an array of another dtype or
+    shape, a vector whose length does not fit `layers`, a negative `adam_t`
+    or counter, a JSON block that is not an object, a config key `DQNConfig`
+    does not know or a value it refuses, and an RNG state the generator
+    refuses.
+    """
+    members = _read_npz(path)
+
+    def refusal(name: str, problem: str) -> ValueError:
+        return ValueError(f"checkpoint {path}: member {name!r} {problem}")
+
+    def member(name: str, dtype, ndim: int) -> np.ndarray:
+        if name not in members:
+            raise refusal(name, "is missing")
+        arr = np.asarray(members[name])
+        if (arr.dtype.kind != "U" if dtype is str else arr.dtype != dtype) or arr.ndim != ndim:
+            want = "string" if dtype is str else np.dtype(dtype).name
+            raise refusal(name, f"must be a {ndim}-d {want} array, "
+                                f"got a {arr.ndim}-d {arr.dtype} array")
+        return arr
+
+    def json_object(name: str) -> dict:
+        try:
+            value = json.loads(str(member(name, str, 0)))
+        except json.JSONDecodeError as exc:
+            raise refusal(name, f"is not JSON: {exc}") from None
+        if not isinstance(value, dict):
+            raise refusal(name, f"must be a JSON object, got {type(value).__name__}")
+        return value
+
+    version = int(member("version", np.int64, 0))
+    if version != CHECKPOINT_VERSION:
+        # Version 1 stored per-layer arrays. No such file is kept, and rerunning
+        # a run's config and seed rewrites its checkpoint bit-exactly.
+        raise ValueError(f"checkpoint {path} has format version {version}; this program "
+                         f"reads version {CHECKPOINT_VERSION} only (retrain to rewrite it)")
+    layers = member("layers", np.int64, 1).tolist()
+    if len(layers) < 2 or min(layers) < 1:
+        raise refusal("layers", f"must hold at least two sizes of at least 1, got {layers}")
+    n = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(layers, layers[1:]))
+    vectors = {name: member(name, np.float64, 1) for name in ("net", "target", "adam_m", "adam_v")}
+    for name, vector in vectors.items():
+        if vector.size != n:
+            raise refusal(name, f"has {vector.size} values, where layers {layers} take {n}")
+    adam_t = int(member("adam_t", np.int64, 0))
+    if adam_t < 0:
+        raise refusal("adam_t", f"must be non-negative, got {adam_t}")
+    counters = member("counters", np.int64, 1).tolist()
+    if len(counters) != 2 or min(counters) < 0:
+        raise refusal("counters", f"must hold two non-negative counts, got {counters}")
+    config = json_object("config")
+    core.reject_unknown_keys(f"checkpoint {path} config", config,
+                             [f.name for f in fields(DQNConfig)])
+    rng_state = json_object("rng_state")
+    meta = json_object("meta")
+
+    try:
+        agent = DQNAgent(layers[0], layers[-1], DQNConfig(**config))
+    except (TypeError, ValueError) as exc:
+        raise refusal("config", f"is refused: {exc}") from None
+    try:
+        agent.rng.bit_generator.state = rng_state
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:
+        raise refusal("rng_state", f"is refused by the generator: {exc!r}") from None
+    agent.net = QNetwork(layers)
+    agent.net.set_flat_parameters(vectors["net"])
+    agent.target = QNetwork(layers)
+    agent.target.set_flat_parameters(vectors["target"])
+    agent.optimizer = Adam(agent.net, lr=agent.config.lr)
+    agent.optimizer.m[...] = vectors["adam_m"]
+    agent.optimizer.v[...] = vectors["adam_v"]
+    agent.optimizer.t = adam_t
+    agent.transitions_seen, agent.updates_done = counters
     return agent, meta
+
+
+def _read_npz(path) -> dict:
+    """Every member of the npz file at `path`, read in full."""
+    with open(path, "rb") as fh:
+        try:
+            data = np.load(fh, allow_pickle=False)
+            if not isinstance(data, np.lib.npyio.NpzFile):
+                raise ValueError("it holds one array, not an npz archive")
+            with data:
+                return {name: data[name] for name in data.files}
+        except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+            raise ValueError(f"checkpoint {path} is not a readable npz file: {exc}") from None
+
+
+def checkpoint_spec(path, meta: dict) -> IntersectionSpec:
+    """The intersection a checkpoint's meta stores, loaded and checked.
+
+    A meta that lacks one of `META_KEYS`, or an intersection document that
+    does not load, is refused with a ValueError naming the path and the key.
+    """
+    for key in META_KEYS:
+        if key not in meta:
+            raise ValueError(f"checkpoint {path}: meta lacks {key!r}")
+    try:
+        return core.load_intersection(json.dumps(meta["intersection"]))
+    except ValueError as exc:
+        raise ValueError(f"checkpoint {path}: meta 'intersection': {exc}") from None

@@ -94,14 +94,14 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     from . import harness
-    from .agents import load_checkpoint
+    from .agents import checkpoint_spec, load_checkpoint
     from .sim import trajectory_rows
 
     agent, meta = load_checkpoint(args.checkpoint)
     if args.spec is not None:
         spec = core.load_intersection(Path(args.spec).read_text(encoding="utf-8"))
     else:
-        spec = core.load_intersection(json.dumps(meta["intersection"]))
+        spec = checkpoint_spec(args.checkpoint, meta)
     flow = core.load_flow(Path(args.flow).read_text(encoding="utf-8"))
     val, test = core.split_halves(flow)
     part = val if args.split == "val" else test

@@ -32,6 +32,15 @@ def require_integers(obj, *names: str) -> None:
         require_integer(name, getattr(obj, name))
 
 
+def reject_unknown_keys(where: str, doc: dict, accepted) -> None:
+    """Refuse, with a ValueError naming them and listing `accepted`, the keys
+    of `doc` that `accepted` lacks."""
+    unknown = [key for key in doc if key not in accepted]
+    if unknown:
+        raise ValueError(f"unknown {where} key(s) {', '.join(map(repr, unknown))}; "
+                         f"accepted keys: {', '.join(accepted)}")
+
+
 @dataclass(frozen=True)
 class Movement:
     """One traffic stream: an incoming lane and where it goes."""
@@ -191,10 +200,19 @@ class FlowDataset:
         last = 0
         for v in self.vehicles:
             if v.spawn_time < last:
-                raise ValueError("vehicles must be sorted by spawn_time")
+                raise ValueError(f"{self._where(v)} spawns at {v.spawn_time} s, before "
+                                 f"the vehicle ahead of it at {last} s; "
+                                 "vehicles must be sorted by spawn_time")
             if v.spawn_time >= self.duration:
-                raise ValueError("spawn times must fall within the flow duration")
+                raise ValueError(f"{self._where(v)} spawns at {v.spawn_time} s, at or past "
+                                 f"the end of the {self.duration} s flow; "
+                                 "spawn times must fall within the flow duration")
             last = v.spawn_time
+
+    def _where(self, vehicle: "Vehicle") -> str:
+        """`vehicles[k]` for this vehicle, looked up only once a rule fails."""
+        k = next(k for k, v in enumerate(self.vehicles) if v is vehicle)
+        return f"vehicles[{k}]"
 
 
 def check_flow(spec: IntersectionSpec, flow: FlowDataset) -> None:
@@ -467,13 +485,18 @@ def split_halves(dataset: FlowDataset) -> tuple[FlowDataset, FlowDataset]:
     return val, test
 
 
+FLOW_KEYS = ("duration_s", "label", "vehicles")
+VEHICLE_KEYS = ("id", "spawn_time_s", "movement")
+
+
 def load_flow(text: str) -> FlowDataset:
     """Parse a flow document: {"duration_s": int, "label": str (optional),
     "vehicles": [{id, spawn_time_s, movement}]}.
 
-    A document that is not an object, lacks a key or holds a value that is not
-    an integer is refused with a ValueError naming the path, such as
-    `vehicles[17].spawn_time_s`.
+    A document that is not an object, lacks a key, has a key outside these,
+    holds a value that is not an integer, a negative duration or spawn time,
+    or vehicles out of spawn order or past the duration is refused with a
+    ValueError naming the path, such as `vehicles[17].spawn_time_s`.
     """
     doc = json.loads(text)
     if not isinstance(doc, dict):
@@ -481,7 +504,11 @@ def load_flow(text: str) -> FlowDataset:
     for key in ("duration_s", "vehicles"):
         if key not in doc:
             raise ValueError(f"flow document lacks {key}")
-    require_integer("duration_s", doc["duration_s"])
+    reject_unknown_keys("flow document", doc, FLOW_KEYS)
+    duration = doc["duration_s"]
+    require_integer("duration_s", duration)
+    if duration < 0:
+        raise ValueError(f"duration_s must be non-negative, got {duration}")
     rows = doc["vehicles"]
     if not isinstance(rows, list):
         raise ValueError(f"vehicles must be an array, got {type(rows).__name__}")
@@ -490,18 +517,32 @@ def load_flow(text: str) -> FlowDataset:
         if not isinstance(row, dict):
             raise ValueError(f"vehicles[{k}] must be an object, got {type(row).__name__}")
         vid, spawn, movement = row.get("id"), row.get("spawn_time_s"), row.get("movement")
-        # json gives int for an integer; anything else is checked by name.
-        if type(vid) is not int or type(spawn) is not int or type(movement) is not int:
-            for name, value in zip(("id", "spawn_time_s", "movement"), (vid, spawn, movement)):
+        # json gives int for an integer, and three integers in a row of three
+        # keys leave no room for another key; anything else is checked by name.
+        if (type(vid) is not int or type(spawn) is not int or type(movement) is not int
+                or len(row) != 3):
+            for name, value in zip(VEHICLE_KEYS, (vid, spawn, movement)):
                 if name not in row:
                     raise ValueError(f"vehicles[{k}] lacks {name}")
                 require_integer(f"vehicles[{k}].{name}", value)
-        vehicles.append(Vehicle(vid, spawn, movement))
-    return FlowDataset(vehicles=tuple(vehicles), duration=doc["duration_s"],
+            reject_unknown_keys(f"vehicles[{k}]", row, VEHICLE_KEYS)
+        try:
+            vehicles.append(Vehicle(vid, spawn, movement))
+        except ValueError:
+            raise ValueError(f"vehicles[{k}].spawn_time_s must be non-negative, "
+                             f"got {spawn}") from None
+    return FlowDataset(vehicles=tuple(vehicles), duration=duration,
                        label=str(doc.get("label", "")))
 
 
 def flow_to_document(flow: FlowDataset) -> dict:
+    """Inverse of load_flow. The document has no body length, so a vehicle
+    whose body length is not the default is refused, naming it."""
+    for k, v in enumerate(flow.vehicles):
+        if v.body_length != DEFAULT_BODY_LENGTH_M:
+            raise ValueError(f"flow {flow.label!r}: vehicles[{k}] has a body length of "
+                             f"{v.body_length} m; a flow document holds only the default "
+                             f"{DEFAULT_BODY_LENGTH_M} m")
     return {
         "duration_s": flow.duration,
         "label": flow.label,

@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 
 from . import core, sim
-from .agents import DQNAgent, DQNConfig, GreedyController, load_checkpoint, save_checkpoint
+from .agents import (DQNAgent, DQNConfig, GreedyController, checkpoint_spec, load_checkpoint,
+                     save_checkpoint)
 from .baselines import CONTROLLER_NAMES, SotlParams, make_controller
 from .core import FlowDataset, IntersectionSpec
 from .env import ActionSpace, TrafficEnv, lane_capacity, observation_dim, reward
@@ -56,8 +57,8 @@ class ExperimentConfig:
     repeats: int = 1
 
     def __post_init__(self):
-        _reject_unknown_keys("dqn", self.dqn, [f.name for f in fields(DQNConfig)])
-        _reject_unknown_keys("sotl", self.sotl, [f.name for f in fields(SotlParams)])
+        core.reject_unknown_keys("dqn", self.dqn, [f.name for f in fields(DQNConfig)])
+        core.reject_unknown_keys("sotl", self.sotl, [f.name for f in fields(SotlParams)])
         integers = ["eval_every", "total_epochs", "repeats", "holdout_index", "seed"]
         if self.horizon is not None:
             integers.append("horizon")
@@ -85,7 +86,7 @@ class ExperimentConfig:
         doc = json.loads(path.read_text(encoding="utf-8"))
         if not isinstance(doc, dict):
             raise ValueError(f"config {path} must be a JSON object")
-        _reject_unknown_keys("config", doc, [f.name for f in fields(cls)])
+        core.reject_unknown_keys("config", doc, [f.name for f in fields(cls)])
         config = cls(**doc)
         base = path.parent
         config.intersection = str(_resolve(base, config.intersection))
@@ -95,13 +96,6 @@ class ExperimentConfig:
             for c in config.controllers
         ]
         return config
-
-
-def _reject_unknown_keys(where: str, doc: dict, accepted: list) -> None:
-    unknown = [key for key in doc if key not in accepted]
-    if unknown:
-        raise ValueError(f"unknown {where} key(s) {', '.join(map(repr, unknown))}; "
-                         f"accepted keys: {', '.join(accepted)}")
 
 
 def _check_flow_profiles(entries) -> None:
@@ -114,7 +108,7 @@ def _check_flow_profiles(entries) -> None:
         if not isinstance(item, dict):
             raise ValueError(f"{where} must be an object with keys "
                              f"{', '.join(FLOW_PROFILE_KEYS)}, not {item!r}")
-        _reject_unknown_keys(where, item, FLOW_PROFILE_KEYS)
+        core.reject_unknown_keys(where, item, FLOW_PROFILE_KEYS)
         for key in ("profile", "seed", "duration"):
             if key not in item:
                 raise ValueError(f"{where} lacks the {key!r} key")
@@ -359,7 +353,7 @@ def qvalue_sweep(checkpoint_path, grid_max: int, lane_pair=None):
     if grid_max < 1:
         raise ValueError("grid_max must be at least 1")
     agent, meta = load_checkpoint(checkpoint_path)
-    spec = core.load_intersection(json.dumps(meta["intersection"]))
+    spec = checkpoint_spec(checkpoint_path, meta)
     variant = meta["variant"]
     action_mode = meta["action_mode"]
     if spec.n_phases != 2:

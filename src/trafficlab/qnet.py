@@ -15,8 +15,6 @@ run one network at once.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 HIDDEN = (64, 64)
@@ -227,29 +225,3 @@ def soft_update(target: QNetwork, net: QNetwork, tau: float) -> None:
         raise ValueError("architecture mismatch between target and live networks")
     target.flat *= 1.0 - tau
     target.flat += tau * net.flat
-
-
-def save_network_arrays(prefix: str, net: QNetwork) -> dict:
-    arrays = {}
-    for k, (w, b) in enumerate(zip(net.weights, net.biases)):
-        arrays[f"{prefix}_w{k}"] = w
-        arrays[f"{prefix}_b{k}"] = b
-    arrays[f"{prefix}_layers"] = np.asarray(net.layer_sizes, dtype=np.int64)
-    return arrays
-
-
-def load_network_arrays(prefix: str, data) -> QNetwork:
-    layers = tuple(int(s) for s in data[f"{prefix}_layers"])
-    net = QNetwork(layers)
-    for k in range(len(layers) - 1):
-        net.weights[k][...] = data[f"{prefix}_w{k}"]
-        net.biases[k][...] = data[f"{prefix}_b{k}"]
-    return net
-
-
-def encode_json(obj) -> np.ndarray:
-    return np.asarray(json.dumps(obj, sort_keys=True))
-
-
-def decode_json(arr) -> object:
-    return json.loads(str(arr))

@@ -422,6 +422,45 @@ class TestLoadFlowRefusals:
         assert flow == FlowDataset((Vehicle(0, 1, 0), Vehicle(7, 9, 3)), 10, "a")
 
 
+def _vehicle(k, spawn):
+    return {"id": k, "spawn_time_s": spawn, "movement": 0}
+
+
+class TestLoadFlowNamesTheVehicle:
+    @pytest.mark.parametrize("text, message", [
+        pytest.param(_flow_text([_vehicle(0, 1), _vehicle(1, 2), _vehicle(2, -1)]),
+                     "vehicles[2].spawn_time_s must be non-negative, got -1",
+                     id="negative-spawn"),
+        pytest.param(_flow_text([_vehicle(0, 1), _vehicle(1, 5), _vehicle(2, 3)]),
+                     "vehicles[2] spawns at 3 s, before the vehicle ahead of it at 5 s; "
+                     "vehicles must be sorted by spawn_time", id="unsorted"),
+        pytest.param(_flow_text([_vehicle(0, 1), _vehicle(1, 10)]),
+                     "vehicles[1] spawns at 10 s, at or past the end of the 10 s flow; "
+                     "spawn times must fall within the flow duration", id="past-duration"),
+        pytest.param(_flow_text([], duration=-5), "duration_s must be non-negative, got -5",
+                     id="negative-duration"),
+        pytest.param(_flow_text([_vehicle(0, 1), dict(_vehicle(1, 2), body_length=12.0)]),
+                     "unknown vehicles[1] key(s) 'body_length'; "
+                     "accepted keys: id, spawn_time_s, movement", id="vehicle-body-length"),
+        pytest.param(_flow_text([_vehicle(0, 1)], durations=10),
+                     "unknown flow document key(s) 'durations'; "
+                     "accepted keys: duration_s, label, vehicles", id="top-level-key"),
+    ])
+    def test_refusals_name_the_vehicle_or_the_key(self, text, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            core.load_flow(text)
+
+    def test_a_flow_built_in_code_names_the_vehicle(self):
+        vehicles = (Vehicle(0, 0, 0), Vehicle(1, 50, 0), Vehicle(2, 10, 0))
+        with pytest.raises(ValueError, match=r"^vehicles\[2\] spawns at 10 s"):
+            FlowDataset(vehicles, duration=100)
+
+    def test_flow_to_document_refuses_a_body_length_it_cannot_store(self):
+        flow = FlowDataset((Vehicle(0, 0, 0), Vehicle(1, 3, 0, body_length=12.0)), 10, "f")
+        with pytest.raises(ValueError, match=r"^flow 'f': vehicles\[1\] has a body length of 12"):
+            core.flow_to_document(flow)
+
+
 def reference_clustered_spawns(profile, seed, duration):
     """The clustered generator's (spawn, lane) pairs with every platoon run to
     its full size, as it was before platoons stopped at the duration."""
