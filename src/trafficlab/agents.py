@@ -13,7 +13,7 @@ import numpy as np
 
 from . import core, qnet
 from .core import IntersectionSpec, require_integers
-from .env import ActionSpace, Transition, decode_action, observe
+from .env import ActionSpace, Transition, decode_action, observation_dim, observe
 from .qnet import Adam, QNetwork
 from .sim import SimState
 
@@ -219,7 +219,8 @@ class GreedyController:
     """A DQN agent acting greedily as a `reset()`/`decide(state)` controller.
 
     `meta` carries the stepping configuration `run_training` stores with a
-    checkpoint: `variant`, `action_mode` and `process`. While yellow runs the
+    checkpoint: `variant`, `action_mode` and `process`. A network whose input
+    or output size does not fit them on `spec` is refused. While yellow runs the
     controller keeps the current phase without running the network, in either
     process: `sim.command_signal` ignores any request then. Under "smdp" it
     also keeps it on the tick the new phase lands, exactly as
@@ -236,6 +237,13 @@ class GreedyController:
         self.variant = meta["variant"]
         self.space = ActionSpace(meta["action_mode"], spec.n_phases)
         self.smdp = meta["process"] == "smdp"
+        in_dim = observation_dim(self.variant, spec.n_lanes, spec.n_phases)
+        if (agent.net.in_dim, agent.n_actions) != (in_dim, self.space.size):
+            raise ValueError(
+                f"checkpoint network takes {agent.net.in_dim} inputs and gives "
+                f"{agent.n_actions} action values; the {self.variant!r} state of a "
+                f"{spec.n_lanes}-lane, {spec.n_phases}-phase intersection has {in_dim} "
+                f"and its {self.space.mode} action space {self.space.size}")
 
     def reset(self) -> None:
         pass

@@ -252,12 +252,20 @@ def enumerate_phases(movements, conflict_matrix: ConflictMatrix, pair_size: int 
     return phases
 
 
+INTERSECTION_KEYS = ("yellow_duration", "lanes", "movements", "conflicts", "phases")
+
+
 def load_intersection(spec_text: str) -> IntersectionSpec:
     """Parse an intersection document (JSON) into a validated IntersectionSpec.
 
     Top-level fields: yellow_duration, lanes ([{length_m, vmax_ms}]),
     movements ([{lane, approach, turn}]), optional conflicts ([[i, j], ...]),
     optional phases ([[movement ids], ...]).
+
+    A key outside these, a value that is not an integer where one goes, an
+    array that is not one, no phases, an empty phase and a phase member that
+    is not a movement of the document are refused with a ValueError naming the
+    path, such as `movements[1].lane` or `phases[0][1]`.
     """
     try:
         doc = json.loads(spec_text)
@@ -265,34 +273,40 @@ def load_intersection(spec_text: str) -> IntersectionSpec:
         raise ValueError(f"malformed intersection document: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError("intersection document must be an object")
+    reject_unknown_keys("intersection document", doc, INTERSECTION_KEYS)
     try:
         lanes = tuple(
             Lane(length_m=float(l["length_m"]), vmax_ms=float(l["vmax_ms"]))
-            for l in doc["lanes"]
+            for l in _objects("lanes", doc["lanes"])
         )
         movements = tuple(
             Movement(
                 id=k,
-                in_lane=int(m["lane"]),
+                in_lane=_integer(f"movements[{k}].lane", m["lane"]),
                 approach=str(m["approach"]),
                 out_direction=str(m["turn"]),
             )
-            for k, m in enumerate(doc["movements"])
+            for k, m in enumerate(_objects("movements", doc["movements"]))
         )
-        yellow = int(doc["yellow_duration"])
+        yellow = _integer("yellow_duration", doc["yellow_duration"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"intersection document missing field: {exc}") from exc
 
     if "conflicts" in doc:
-        matrix = ConflictMatrix.from_pairs(len(movements), doc["conflicts"])
+        # ConflictMatrix refuses a pair outside the movements
+        pairs = _id_lists("conflicts", doc["conflicts"], size=2)
+        matrix = ConflictMatrix.from_pairs(len(movements), pairs)
     else:
         matrix = default_conflicts(movements)
 
     if "phases" in doc:
         phases = tuple(
-            Phase(id=k, green_movements=frozenset(int(m) for m in members))
-            for k, members in enumerate(doc["phases"])
+            Phase(id=k, green_movements=frozenset(members))
+            for k, members in enumerate(
+                _id_lists("phases", doc["phases"], n_movements=len(movements)))
         )
+        if not phases:
+            raise ValueError("phases must list at least one phase")
     else:
         phases = tuple(enumerate_phases(movements, matrix))
 
@@ -303,6 +317,40 @@ def load_intersection(spec_text: str) -> IntersectionSpec:
         phases=phases,
         yellow_duration=yellow,
     )
+
+
+def _integer(where: str, value) -> int:
+    require_integer(where, value)
+    return value
+
+
+def _objects(where: str, items) -> list:
+    """`items`, refused by path unless it is an array of objects."""
+    if not isinstance(items, list):
+        raise ValueError(f"{where} must be an array, got {type(items).__name__}")
+    for k, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise ValueError(f"{where}[{k}] must be an object, got {type(item).__name__}")
+    return items
+
+
+def _id_lists(where: str, lists, size: int | None = None,
+              n_movements: int | None = None) -> list:
+    """`lists`, refused by path unless it is an array of non-empty arrays of
+    movement ids: of `size` ids each and each id below `n_movements`, where
+    these are given."""
+    if not isinstance(lists, list):
+        raise ValueError(f"{where} must be an array, got {type(lists).__name__}")
+    for k, ids in enumerate(lists):
+        if not isinstance(ids, list) or not ids or (size is not None and len(ids) != size):
+            raise ValueError(f"{where}[{k}] must be an array of "
+                             f"{size or 'one or more'} movement ids, got {ids!r}")
+        for m, i in enumerate(ids):
+            require_integer(f"{where}[{k}][{m}]", i)
+            if n_movements is not None and not 0 <= i < n_movements:
+                raise ValueError(f"{where}[{k}][{m}] is movement {i}, which the "
+                                 f"intersection lacks (0..{n_movements - 1})")
+    return lists
 
 
 def intersection_to_document(spec: IntersectionSpec) -> dict:
@@ -494,9 +542,10 @@ def load_flow(text: str) -> FlowDataset:
     "vehicles": [{id, spawn_time_s, movement}]}.
 
     A document that is not an object, lacks a key, has a key outside these,
-    holds a value that is not an integer, a negative duration or spawn time,
-    or vehicles out of spawn order or past the duration is refused with a
-    ValueError naming the path, such as `vehicles[17].spawn_time_s`.
+    holds a value that is not an integer or a label that is not a string, a
+    negative duration or spawn time, or vehicles out of spawn order or past
+    the duration is refused with a ValueError naming the path, such as
+    `vehicles[17].spawn_time_s`.
     """
     doc = json.loads(text)
     if not isinstance(doc, dict):
@@ -531,8 +580,10 @@ def load_flow(text: str) -> FlowDataset:
         except ValueError:
             raise ValueError(f"vehicles[{k}].spawn_time_s must be non-negative, "
                              f"got {spawn}") from None
-    return FlowDataset(vehicles=tuple(vehicles), duration=duration,
-                       label=str(doc.get("label", "")))
+    label = doc.get("label", "")
+    if not isinstance(label, str):
+        raise ValueError(f"label must be a string, got {label!r}")
+    return FlowDataset(vehicles=tuple(vehicles), duration=duration, label=label)
 
 
 def flow_to_document(flow: FlowDataset) -> dict:

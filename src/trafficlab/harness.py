@@ -114,6 +114,8 @@ def _check_flow_profiles(entries) -> None:
                 raise ValueError(f"{where} lacks the {key!r} key")
         for key in ("seed", "duration"):
             core.require_integer(f"{where}.{key}", item[key])
+        if "label" in item and not isinstance(item["label"], str):
+            raise ValueError(f"{where}.label must be a string, got {item['label']!r}")
         # validation and compare cut a flow into two halves of at least 1 s
         if item["duration"] < 2:
             raise ValueError(f"{where}.duration must be at least 2, got {item['duration']!r}")
@@ -188,14 +190,20 @@ def greedy_rollout(policy, spec: IntersectionSpec, flow: FlowDataset,
 
 
 @dataclass
-class TrainResult:
+class TrainingRun:
+    """A training run's state between transitions, and its result at the end:
+    the validation rows so far and their best travel time, the train env being
+    stepped, and the update count of the next validation."""
+
     metrics_path: str
     best_checkpoint: str
-    best_val_travel_time: float
-    rows: list
+    next_eval: int
+    rows: list = field(default_factory=list)
+    best_val_travel_time: float = float("inf")
+    env_index: int = 0
 
 
-def run_training(config: ExperimentConfig) -> TrainResult:
+def run_training(config: ExperimentConfig) -> TrainingRun:
     """Train a DQN agent on the train flows, validating every eval_every epochs
     and checkpointing whenever the validation travel time improves."""
     spec, flows = load_materials(config)
@@ -233,21 +241,20 @@ def run_training(config: ExperimentConfig) -> TrainResult:
 
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    metrics_path = out_dir / "metrics.csv"
-    best_path = out_dir / "best.npz"
+    eval_stride = config.eval_every * UPDATES_PER_EPOCH
+    run = TrainingRun(metrics_path=str(out_dir / "metrics.csv"),
+                      best_checkpoint=str(out_dir / "best.npz"), next_eval=eval_stride)
 
     envs = [
         TrafficEnv(spec, f, variant=config.variant, action_mode=config.action_mode,
                    gamma=dqn_config.gamma, horizon=config.horizon)
         for f in train_flows
     ]
-
-    rows = []
-    best_val = float("inf")
+    # Read from the class when the run starts, so a wrapper set on it sees every step.
+    step = TrafficEnv.mdp_step if config.process == "mdp" else TrafficEnv.smdp_step
     started = time.perf_counter()
 
-    def run_eval() -> None:
-        nonlocal best_val
+    def validate() -> None:
         val_tt, val_return = greedy_rollout(greedy, spec, val_flow, config.horizon)
         row = {
             "epoch": agent.updates_done // UPDATES_PER_EPOCH,
@@ -257,44 +264,33 @@ def run_training(config: ExperimentConfig) -> TrainResult:
             "wall_clock_s": time.perf_counter() - started,
             "transitions": agent.transitions_seen,
         }
-        rows.append(row)
+        run.rows.append(row)
         # Each row is flushed as it is produced, so an interrupted run keeps
         # the validations it finished.
         metrics.writerow([_format_cell(row[c]) for c in METRICS_COLUMNS])
         metrics_file.flush()
-        if val_tt < best_val:
-            best_val = val_tt
-            save_checkpoint(best_path, agent, meta)
+        if val_tt < run.best_val_travel_time:
+            run.best_val_travel_time = val_tt
+            save_checkpoint(run.best_checkpoint, agent, meta)
 
-    with open(metrics_path, "w", newline="", encoding="utf-8") as metrics_file:
+    with open(run.metrics_path, "w", newline="", encoding="utf-8") as metrics_file:
         metrics = csv.writer(metrics_file)
         metrics.writerow(METRICS_COLUMNS)
-        run_eval()
-        eval_stride = config.eval_every * UPDATES_PER_EPOCH
-        next_eval = eval_stride
-        env_cycle = itertools.cycle(envs)
-        env = next(env_cycle)
-        obs = env.reset()
+        validate()
+        obs = envs[run.env_index].reset()
         while agent.updates_done < total_updates:
-            action = agent.act(obs)
-            transition = env.mdp_step(action) if config.process == "mdp" else env.smdp_step(action)
+            transition = step(envs[run.env_index], agent.act(obs))
             agent.observe(transition)
             obs = transition.next_state
             if transition.terminal:
-                env = next(env_cycle)
-                obs = env.reset()
-            if agent.updates_done >= next_eval:
-                run_eval()
-                next_eval += eval_stride
-        if rows[-1]["weight_updates"] != agent.updates_done:
-            run_eval()
-
-    return TrainResult(
-        metrics_path=str(metrics_path),
-        best_checkpoint=str(best_path),
-        best_val_travel_time=best_val,
-        rows=rows,
-    )
+                run.env_index = (run.env_index + 1) % len(envs)
+                obs = envs[run.env_index].reset()
+            if agent.updates_done >= run.next_eval:
+                validate()
+                run.next_eval += eval_stride
+        if run.rows[-1]["weight_updates"] != agent.updates_done:
+            validate()
+    return run
 
 
 def compare(config: ExperimentConfig):
@@ -308,10 +304,12 @@ def compare(config: ExperimentConfig):
     repeats = max(1, config.repeats)
     halves = [(flow.label or f"flow{k}", core.split_halves(flow))
               for k, flow in enumerate(flows)]
+    # A greedy DQN holds no episode state, so each checkpoint loads once, and
+    # all of them before the first episode, so one that does not fit fails early.
+    greedy = {name: _build_policy(name, spec, sotl, config)
+              for name in config.controllers if name.startswith("dqn:")}
     rows = []
     for name in config.controllers:
-        # A greedy DQN holds no episode state, so its checkpoint loads once.
-        greedy = _build_policy(name, spec, sotl, config) if name.startswith("dqn:") else None
         for label, (val, test) in halves:
             for split, part in (("val", val), ("test", test)):
                 # Only the random controller is stochastic, so only it runs
@@ -319,7 +317,8 @@ def compare(config: ExperimentConfig):
                 # mean; repeats that all agree report that value bit-exactly.
                 tts = []
                 for r in range(repeats if name == "random" else 1):
-                    policy = greedy or _build_policy(name, spec, sotl, config, seed_offset=r)
+                    policy = (greedy.get(name)
+                              or _build_policy(name, spec, sotl, config, seed_offset=r))
                     tts.append(evaluate(policy, spec, part, horizon=config.horizon))
                 mean_tt = tts[0] if len(set(tts)) == 1 else sum(tts) / len(tts)
                 rows.append(
@@ -337,7 +336,10 @@ def _build_policy(name: str, spec: IntersectionSpec, sotl: SotlParams,
                   config: ExperimentConfig, seed_offset: int = 0):
     if name.startswith("dqn:"):
         agent, meta = load_checkpoint(name.split(":", 1)[1])
-        return GreedyController(agent, spec, meta)
+        try:
+            return GreedyController(agent, spec, meta)
+        except ValueError as exc:
+            raise ValueError(f"controllers entry {name!r}: {exc}") from None
     return make_controller(name, spec, sotl, seed=config.seed + seed_offset)
 
 

@@ -234,3 +234,11 @@ def test_a_two_second_flow_profile_is_the_shortest_that_compare_runs(tmp_path, t
         profile_entry(profile="uniform(rate_per_lane=5,n_lanes=4)", duration=2)])
     rows = harness.compare(config)
     assert [(r["split"], r["controller"]) for r in rows] == [("val", "fixed"), ("test", "fixed")]
+
+
+@pytest.mark.parametrize("label", [0, 5, None, True, ["a"]])
+def test_a_flow_profile_label_that_is_not_a_string_is_refused(tmp_path, two_phase_spec, label):
+    # 0 and null used to load, and compare named those flows flow0 and flow1
+    entry = {**profile_entry(), "label": label}
+    with pytest.raises(ValueError, match=r"^flow_profiles\[1\]\.label must be a string, got "):
+        write_config(tmp_path, two_phase_spec, flow_profiles=[profile_entry(), entry])

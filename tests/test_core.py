@@ -509,3 +509,77 @@ class TestPlatoonStopsAtTheDuration:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
         assert [v.spawn_time for v in flow.vehicles] == list(range(60))
+
+
+def _intersection_text(**changes):
+    """MINIMAL_DOC with `changes` set; a key such as `movements__1__lane` is
+    the path `movements[1].lane`."""
+    doc = json.loads(json.dumps(MINIMAL_DOC))
+    for path, value in changes.items():
+        *keys, last = path.split("__")
+        target = doc
+        for key in keys:
+            target = target[int(key) if key.isdigit() else key]
+        target[int(last) if last.isdigit() else last] = value
+    return json.dumps(doc)
+
+
+class TestLoadIntersectionRefusals:
+    @pytest.mark.parametrize("text, message", [
+        pytest.param(_intersection_text(yellow_duration=2.7),
+                     "yellow_duration must be an integer, got 2.7", id="fractional-yellow"),
+        pytest.param(_intersection_text(yellow_duration=True),
+                     "yellow_duration must be an integer, got True", id="bool-yellow"),
+        pytest.param(_intersection_text(movements__1__lane=1.9),
+                     "movements[1].lane must be an integer, got 1.9", id="fractional-lane"),
+        pytest.param(_intersection_text(phases__0__0=0.5),
+                     "phases[0][0] must be an integer, got 0.5", id="fractional-member"),
+        pytest.param(_intersection_text(phases=[[0, 9], [1]]),
+                     "phases[0][1] is movement 9, which the intersection lacks (0..1)",
+                     id="member-out-of-range"),
+        pytest.param(_intersection_text(phases=[[0], [-1]]),
+                     "phases[1][0] is movement -1, which the intersection lacks (0..1)",
+                     id="negative-member"),
+        pytest.param(_intersection_text(conflicts=[[0, 1.5]]),
+                     "conflicts[0][1] must be an integer, got 1.5", id="fractional-conflict"),
+        pytest.param(_intersection_text(conflicts=[[0, 1, 1]]),
+                     "conflicts[0] must be an array of 2 movement ids, got [0, 1, 1]",
+                     id="conflict-triple"),
+        pytest.param(_intersection_text(conflicts=5), "conflicts must be an array, got int",
+                     id="conflicts-number"),
+        pytest.param(_intersection_text(phases=[]), "phases must list at least one phase",
+                     id="no-phases"),
+        pytest.param(_intersection_text(phases=[[], [1]]),
+                     "phases[0] must be an array of one or more movement ids, got []",
+                     id="empty-phase"),
+        pytest.param(_intersection_text(phases={"0": [0]}), "phases must be an array, got dict",
+                     id="phases-object"),
+        pytest.param(_intersection_text(colour="red"),
+                     "unknown intersection document key(s) 'colour'; accepted keys: "
+                     "yellow_duration, lanes, movements, conflicts, phases", id="unknown-key"),
+        pytest.param(_intersection_text(lanes=5), "lanes must be an array, got int",
+                     id="lanes-number"),
+        pytest.param(_intersection_text(movements__0=3), "movements[0] must be an object, got int",
+                     id="movement-number"),
+    ])
+    def test_names_the_path(self, text, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            core.load_intersection(text)
+
+    def test_existing_messages_stay(self):
+        with pytest.raises(ValueError, match=r"^intersection document missing field: 'lanes'$"):
+            core.load_intersection(json.dumps({k: v for k, v in MINIMAL_DOC.items()
+                                               if k != "lanes"}))
+        with pytest.raises(ValueError, match=r"^conflict pair \(0, 5\) out of range$"):
+            core.load_intersection(_intersection_text(conflicts=[[0, 5]]))
+
+
+class TestLoadFlowLabel:
+    @pytest.mark.parametrize("label", ["null", "5", "true", "[1]"])
+    def test_a_label_that_is_not_a_string_is_refused(self, label):
+        text = '{"duration_s": 10, "vehicles": [], "label": %s}' % label
+        with pytest.raises(ValueError, match=r"^label must be a string, got "):
+            core.load_flow(text)
+
+    def test_a_missing_label_loads_as_empty(self):
+        assert core.load_flow('{"duration_s": 10, "vehicles": []}').label == ""

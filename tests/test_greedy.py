@@ -224,3 +224,64 @@ def test_eval_trace_of_mdp_checkpoint_matches_the_reference_rule(tmp_path, two_p
         outputs.append((trace.read_bytes(), capsys.readouterr().out.splitlines()[-1]))
     assert outputs[0] == outputs[1]
     assert outputs[0][0].count(b"\n") > 1000
+
+
+def two_phase_checkpoint(path, spec):
+    """A wad/acyclic checkpoint of the two-phase toy: 14 inputs, 2 actions."""
+    agent = DQNAgent(observation_dim("wad", 4, 2), 2, DQNConfig(seed=3))
+    save_checkpoint(path, agent, {**META, "intersection": core.intersection_to_document(spec)})
+    return path
+
+
+@pytest.mark.parametrize("meta, message", [
+    pytest.param(META, r"network takes 14 inputs and gives 2 action values; the 'wad' state "
+                       r"of a 8-lane, 8-phase intersection has 32 and its acyclic action "
+                       r"space 8$", id="inputs"),
+    pytest.param({**META, "variant": "wads"}, r"takes 14 inputs .* 'wads' state .* has 40 ",
+                 id="variant"),
+])
+def test_a_network_that_does_not_fit_the_spec_is_refused(default_spec, meta, message):
+    agent = DQNAgent(observation_dim("wad", 4, 2), 2, DQNConfig(seed=0))
+    with pytest.raises(ValueError, match=message):
+        GreedyController(agent, default_spec, meta)
+
+
+def test_a_network_with_the_wrong_action_count_is_refused(default_spec):
+    agent = DQNAgent(observation_dim("wad", 8, 8), 8, DQNConfig(seed=0))
+    GreedyController(agent, default_spec, META)
+    with pytest.raises(ValueError, match=r"gives 8 action values; .* has 32 and its cyclic "
+                                         r"action space 2$"):
+        GreedyController(agent, default_spec, {**META, "action_mode": "cyclic"})
+
+
+def test_compare_refuses_an_unfit_checkpoint_before_any_episode(tmp_path, two_phase_spec,
+                                                               default_spec, monkeypatch):
+    checkpoint = two_phase_checkpoint(tmp_path / "toy.npz", two_phase_spec)
+    (tmp_path / "intersection.json").write_text(
+        json.dumps(core.intersection_to_document(default_spec)))
+    (tmp_path / "config.json").write_text(json.dumps({
+        "intersection": "intersection.json",
+        "flow_profiles": [{"profile": "uniform(rate_per_lane=0.05,n_lanes=8)", "seed": 1,
+                           "duration": 200}],
+        "controllers": ["fixed", "sotl1", f"dqn:{checkpoint}"],
+    }))
+    episodes = []
+    evaluate = harness.evaluate
+    monkeypatch.setattr(harness, "evaluate",
+                        lambda *args, **kwargs: episodes.append(args) or evaluate(*args, **kwargs))
+    with pytest.raises(ValueError, match=rf"^controllers entry 'dqn:{checkpoint}': checkpoint "
+                                         r"network takes 14 inputs"):
+        harness.compare(harness.ExperimentConfig.from_file(tmp_path / "config.json"))
+    assert episodes == []
+
+
+def test_eval_with_a_spec_refuses_an_unfit_checkpoint(tmp_path, two_phase_spec, default_spec):
+    checkpoint = two_phase_checkpoint(tmp_path / "toy.npz", two_phase_spec)
+    (tmp_path / "intersection.json").write_text(
+        json.dumps(core.intersection_to_document(default_spec)))
+    flow = core.generate_flow(core.parse_profile("uniform(rate_per_lane=0.05,n_lanes=8)"),
+                              seed=1, duration=200)
+    (tmp_path / "flow.json").write_text(json.dumps(core.flow_to_document(flow)))
+    with pytest.raises(ValueError, match=r"network takes 14 inputs .* has 32"):
+        cli.main(["eval", "--checkpoint", str(checkpoint), "--flow", str(tmp_path / "flow.json"),
+                  "--split", "val", "--spec", str(tmp_path / "intersection.json")])

@@ -1,8 +1,11 @@
 """Training loop, evaluation, comparison, and sweep tests."""
 
 import csv
+import itertools
 import json
 import re
+import time
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +15,9 @@ from trafficlab import core, harness
 from trafficlab.agents import (DQNAgent, DQNConfig, GreedyController, load_checkpoint,
                                save_checkpoint)
 from trafficlab.baselines import make_controller, SotlParams
-from trafficlab.env import lane_capacity, observation_dim
-from trafficlab.harness import ExperimentConfig, METRICS_COLUMNS, COMPARE_COLUMNS
+from trafficlab.env import ActionSpace, TrafficEnv, lane_capacity, observation_dim
+from trafficlab.harness import (ExperimentConfig, METRICS_COLUMNS, COMPARE_COLUMNS,
+                                UPDATES_PER_EPOCH, _format_cell, greedy_rollout, load_materials)
 
 
 def write_toy_config(tmp_path, **overrides) -> Path:
@@ -469,3 +473,182 @@ def test_metrics_rows_are_on_disk_as_validations_finish(tmp_path, monkeypatch):
     assert rows[0] == list(METRICS_COLUMNS)
     assert len(rows) == 2
     assert rows[1][:2] == ["0", "0"]
+
+
+# The training loop before its state moved into `TrainingRun`, kept as the
+# reference the new loop must match: same rows, same best.npz, same env resets.
+
+
+@dataclass
+class TrainResult:
+    metrics_path: str
+    best_checkpoint: str
+    best_val_travel_time: float
+    rows: list
+
+
+def reference_run_training(config: ExperimentConfig) -> TrainResult:
+    """`harness.run_training` as it was before `TrainingRun`, verbatim but for
+    its name: the loop state in locals, a closure and an env cycle."""
+    spec, flows = load_materials(config)
+    n = len(flows)
+    if not -n <= config.holdout_index < n:
+        raise ValueError(f"holdout_index {config.holdout_index} is outside [-{n}, {n}) "
+                         f"for {n} flows")
+    holdout = config.holdout_index % n
+    if n >= 2:
+        train_flows, val_flow, _ = core.split_dataset(flows, holdout)
+    else:
+        # Single-flow smoke setups: train on the full flow, validate on its first half.
+        train_flows = flows
+        val_flow, _ = core.split_halves(flows[0])
+
+    space = ActionSpace(config.action_mode, spec.n_phases)
+    in_dim = observation_dim(config.variant, spec.n_lanes, spec.n_phases)
+    total_updates = config.total_epochs * UPDATES_PER_EPOCH
+
+    dqn_kwargs = dict(config.dqn)
+    dqn_kwargs.setdefault("seed", config.seed)
+    if "eps_decay_steps" not in dqn_kwargs:
+        probe = DQNConfig(**dqn_kwargs)
+        dqn_kwargs["eps_decay_steps"] = max(1, (probe.warmup + total_updates) // 2)
+    dqn_config = DQNConfig(**dqn_kwargs)
+    agent = DQNAgent(in_dim, space.size, dqn_config)
+
+    meta = {
+        "variant": config.variant,
+        "action_mode": config.action_mode,
+        "process": config.process,
+        "intersection": core.intersection_to_document(spec),
+    }
+    greedy = GreedyController(agent, spec, meta)
+
+    out_dir = Path(config.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    metrics_path = out_dir / "metrics.csv"
+    best_path = out_dir / "best.npz"
+
+    envs = [
+        TrafficEnv(spec, f, variant=config.variant, action_mode=config.action_mode,
+                   gamma=dqn_config.gamma, horizon=config.horizon)
+        for f in train_flows
+    ]
+
+    rows = []
+    best_val = float("inf")
+    started = time.perf_counter()
+
+    def run_eval() -> None:
+        nonlocal best_val
+        val_tt, val_return = greedy_rollout(greedy, spec, val_flow, config.horizon)
+        row = {
+            "epoch": agent.updates_done // UPDATES_PER_EPOCH,
+            "weight_updates": agent.updates_done,
+            "mean_reward": val_return,
+            "val_avg_travel_time_s": val_tt,
+            "wall_clock_s": time.perf_counter() - started,
+            "transitions": agent.transitions_seen,
+        }
+        rows.append(row)
+        # Each row is flushed as it is produced, so an interrupted run keeps
+        # the validations it finished.
+        metrics.writerow([_format_cell(row[c]) for c in METRICS_COLUMNS])
+        metrics_file.flush()
+        if val_tt < best_val:
+            best_val = val_tt
+            save_checkpoint(best_path, agent, meta)
+
+    with open(metrics_path, "w", newline="", encoding="utf-8") as metrics_file:
+        metrics = csv.writer(metrics_file)
+        metrics.writerow(METRICS_COLUMNS)
+        run_eval()
+        eval_stride = config.eval_every * UPDATES_PER_EPOCH
+        next_eval = eval_stride
+        env_cycle = itertools.cycle(envs)
+        env = next(env_cycle)
+        obs = env.reset()
+        while agent.updates_done < total_updates:
+            action = agent.act(obs)
+            transition = env.mdp_step(action) if config.process == "mdp" else env.smdp_step(action)
+            agent.observe(transition)
+            obs = transition.next_state
+            if transition.terminal:
+                env = next(env_cycle)
+                obs = env.reset()
+            if agent.updates_done >= next_eval:
+                run_eval()
+                next_eval += eval_stride
+        if rows[-1]["weight_updates"] != agent.updates_done:
+            run_eval()
+
+    return TrainResult(
+        metrics_path=str(metrics_path),
+        best_checkpoint=str(best_path),
+        best_val_travel_time=best_val,
+        rows=rows,
+    )
+
+
+def recorded_resets(monkeypatch):
+    """Record the flow label of every `TrafficEnv.reset`, in call order."""
+    labels = []
+    reset = TrafficEnv.reset
+
+    def recording_reset(env):
+        labels.append(env.flow.label)
+        return reset(env)
+
+    monkeypatch.setattr(TrafficEnv, "reset", recording_reset)
+    return labels
+
+
+def checkpoint_contents(path):
+    """Everything a checkpoint holds, its vectors as bytes so equal means bit-equal."""
+    agent, meta = load_checkpoint(path)
+    return {
+        "net": agent.net.flat.tobytes(), "target": agent.target.flat.tobytes(),
+        "adam_m": agent.optimizer.m.tobytes(), "adam_v": agent.optimizer.v.tobytes(),
+        "adam_t": agent.optimizer.t, "counters": (agent.transitions_seen, agent.updates_done),
+        "config": agent.config, "meta": meta, "rng": agent.rng.bit_generator.state,
+        "layers": agent.net.layer_sizes,
+    }
+
+
+@pytest.mark.parametrize("process, total_epochs", [("mdp", 3), ("smdp", 3), ("smdp", 0)])
+def test_training_run_matches_the_reference_loop(tmp_path, monkeypatch, process, total_epochs):
+    # Three 60 s train flows: the loop wraps around them several times, and the
+    # validations at 900, 1800 and 2700 updates fall inside episodes.
+    profiles = [{"profile": "clustered(cluster_size=4,inter_cluster_gap=15,within_gap=2,"
+                            "lane_weights=0.5:0.2:0.25:0.05)",
+                 "seed": s, "duration": 600, "label": f"toy{s}"} for s in (1, 2, 3, 4)]
+    runs = {}
+    for name, train in (("run", harness.run_training), ("reference", reference_run_training)):
+        config = ExperimentConfig.from_file(write_toy_config(
+            tmp_path / name, flow_profiles=profiles, holdout_index=1, horizon=60,
+            process=process, total_epochs=total_epochs, out_dir=str(tmp_path / name / "out")))
+        resets = recorded_resets(monkeypatch)
+        runs[name] = train(config), resets
+        monkeypatch.undo()
+    (run, resets), (want, want_resets) = runs["run"], runs["reference"]
+
+    assert resets == want_resets
+    if total_epochs:
+        assert len(resets) > 3 * 3 and resets[:4] == ["toy1", "toy3", "toy4", "toy1"]
+    assert run.env_index == (len(resets) - 1) % 3
+    no_clock = lambda rows: [{k: v for k, v in row.items() if k != "wall_clock_s"}
+                             for row in rows]
+    assert len(run.rows) == 1 + total_epochs
+    assert no_clock(run.rows) == no_clock(want.rows)
+    drop = METRICS_COLUMNS.index("wall_clock_s")
+    strip = lambda rows: [r[:drop] + r[drop + 1:] for r in rows]
+    assert strip(read_csv(run.metrics_path)) == strip(read_csv(want.metrics_path))
+    assert run.best_val_travel_time == want.best_val_travel_time
+    assert checkpoint_contents(run.best_checkpoint) == checkpoint_contents(want.best_checkpoint)
+
+
+def test_a_tied_validation_keeps_the_earlier_checkpoint(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "greedy_rollout", lambda *args: (50.0, -1.0))
+    run = harness.run_training(ExperimentConfig.from_file(write_toy_config(tmp_path)))
+    assert [row["val_avg_travel_time_s"] for row in run.rows] == [50.0, 50.0]
+    assert run.best_val_travel_time == 50.0
+    assert load_checkpoint(run.best_checkpoint)[0].updates_done == 0
