@@ -65,15 +65,15 @@ class RandomController:
 
 class _ThresholdController:
     """What the two threshold schemes share: their parameters, each phase's
-    lanes and the detectors, read in one walk per lane (see `_walk`)."""
+    lanes (the spec's `phase_lanes`) and the detectors, read in one walk per
+    lane (see `_walk`)."""
 
     def __init__(self, spec: IntersectionSpec, params: SotlParams | None = None):
         self.spec = spec
         self.params = params or SotlParams()
-        self._phase_lanes = [spec.green_lanes(p) for p in range(spec.n_phases)]
+        self._phase_lanes = spec.phase_lanes
         self._edges = _edges(spec, self.params.detection_distance)
-        # Per phase, whether it serves each lane; while yellow runs none is.
-        self._served = [[j in lanes for j in range(spec.n_lanes)] for lanes in self._phase_lanes]
+        # While yellow runs no lane is served.
         self._unserved = [False] * spec.n_lanes
         self._last = [0] * spec.n_lanes
 
@@ -85,7 +85,7 @@ class _ThresholdController:
         if sig.yellow_remaining > 0:
             served, phase_green = self._unserved, 0
         else:
-            served, phase_green = self._served[sig.current_phase], sig.time_in_phase
+            served, phase_green = self.spec.lane_green[sig.current_phase], sig.time_in_phase
         counts, approaching = _walk(state.lanes, self._edges, served, self._last, near_green)
         return counts, approaching, phase_green
 
@@ -100,9 +100,7 @@ class CutoffController(_ThresholdController):
     def __init__(self, spec: IntersectionSpec, params: SotlParams | None = None):
         super().__init__(spec, params)
         self.phase_integral = [0.0] * spec.n_phases
-        # Per lane, the phases that serve it.
-        self._lane_phases = [[i for i, lanes in enumerate(self._phase_lanes) if j in lanes]
-                             for j in range(spec.n_lanes)]
+        self._lane_phases = spec.lane_phases
 
     def reset(self) -> None:
         super().reset()

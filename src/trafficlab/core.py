@@ -7,7 +7,7 @@ import json
 import math
 import numbers
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 APPROACHES = ("N", "E", "S", "W")
 TURNS = ("straight", "left")
@@ -131,21 +131,31 @@ class Lane:
 
 @dataclass(frozen=True)
 class IntersectionSpec:
-    """Immutable intersection topology plus derived phase set."""
+    """Immutable intersection topology plus derived phase set and lookup tables."""
 
     lanes: tuple[Lane, ...]
     movements: tuple[Movement, ...]
     conflict_matrix: ConflictMatrix
     phases: tuple[Phase, ...]
     yellow_duration: int = DEFAULT_YELLOW_S
+    # Derived by __post_init__, shared by every reader (who must not write to
+    # them) and no part of the spec's identity: per phase, the lanes it serves
+    # and each lane's green flag; per lane, the phases that serve it and its
+    # (length_m, vmax_ms); per movement, its lane.
+    phase_lanes: list = field(init=False, compare=False, repr=False)
+    lane_green: list = field(init=False, compare=False, repr=False)
+    lane_phases: list = field(init=False, compare=False, repr=False)
+    lane_geometry: list = field(init=False, compare=False, repr=False)
+    movement_lane: list = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.yellow_duration < 1:
             raise ValueError("yellow_duration must be at least 1 second")
         if self.conflict_matrix.size != len(self.movements):
             raise ValueError("conflict matrix size does not match movements")
-        lanes_used = [m.in_lane for m in self.movements]
-        if sorted(lanes_used) != list(range(len(self.lanes))):
+        movement_lane = [m.in_lane for m in self.movements]
+        lane_ids = range(len(self.lanes))
+        if sorted(movement_lane) != list(lane_ids):
             raise ValueError("each lane must carry exactly one movement")
         for k, m in enumerate(self.movements):
             if m.id != k:
@@ -158,6 +168,14 @@ class IntersectionSpec:
                     raise ValueError(
                         f"phase {p.id} puts conflicting movements {i} and {j} on green"
                     )
+        phase_lanes = [frozenset(movement_lane[m] for m in p.green_movements) for p in self.phases]
+        for name, table in (
+                ("phase_lanes", phase_lanes), ("movement_lane", movement_lane),
+                ("lane_green", [[j in lanes for j in lane_ids] for lanes in phase_lanes]),
+                ("lane_phases", [[i for i, lanes in enumerate(phase_lanes) if j in lanes]
+                                 for j in lane_ids]),
+                ("lane_geometry", [(lane.length_m, lane.vmax_ms) for lane in self.lanes])):
+            object.__setattr__(self, name, table)
 
     @property
     def n_lanes(self) -> int:
@@ -168,12 +186,10 @@ class IntersectionSpec:
         return len(self.phases)
 
     def lane_of_movement(self, movement_id: int) -> int:
-        return self.movements[movement_id].in_lane
+        return self.movement_lane[movement_id]
 
     def green_lanes(self, phase_id: int) -> frozenset[int]:
-        return frozenset(
-            self.movements[m].in_lane for m in self.phases[phase_id].green_movements
-        )
+        return self.phase_lanes[phase_id]
 
 
 @dataclass(frozen=True)
@@ -253,6 +269,8 @@ def enumerate_phases(movements, conflict_matrix: ConflictMatrix, pair_size: int 
 
 
 INTERSECTION_KEYS = ("yellow_duration", "lanes", "movements", "conflicts", "phases")
+LANE_KEYS = ("length_m", "vmax_ms")
+MOVEMENT_KEYS = ("lane", "approach", "turn")
 
 
 def load_intersection(spec_text: str) -> IntersectionSpec:
@@ -262,10 +280,11 @@ def load_intersection(spec_text: str) -> IntersectionSpec:
     movements ([{lane, approach, turn}]), optional conflicts ([[i, j], ...]),
     optional phases ([[movement ids], ...]).
 
-    A key outside these, a value that is not an integer where one goes, an
-    array that is not one, no phases, an empty phase and a phase member that
-    is not a movement of the document are refused with a ValueError naming the
-    path, such as `movements[1].lane` or `phases[0][1]`.
+    A key outside these (at the top level, in a lane or in a movement), a
+    value that is not an integer where one goes, a lane length or speed limit
+    that is not a number, an array that is not one, no phases, an empty phase
+    and a phase member that is not a movement of the document are refused with
+    a ValueError naming the path, such as `movements[1].lane` or `phases[0][1]`.
     """
     try:
         doc = json.loads(spec_text)
@@ -276,8 +295,9 @@ def load_intersection(spec_text: str) -> IntersectionSpec:
     reject_unknown_keys("intersection document", doc, INTERSECTION_KEYS)
     try:
         lanes = tuple(
-            Lane(length_m=float(l["length_m"]), vmax_ms=float(l["vmax_ms"]))
-            for l in _objects("lanes", doc["lanes"])
+            Lane(length_m=_number(f"lanes[{k}].length_m", l["length_m"]),
+                 vmax_ms=_number(f"lanes[{k}].vmax_ms", l["vmax_ms"]))
+            for k, l in enumerate(_objects("lanes", doc["lanes"], LANE_KEYS))
         )
         movements = tuple(
             Movement(
@@ -286,7 +306,7 @@ def load_intersection(spec_text: str) -> IntersectionSpec:
                 approach=str(m["approach"]),
                 out_direction=str(m["turn"]),
             )
-            for k, m in enumerate(_objects("movements", doc["movements"]))
+            for k, m in enumerate(_objects("movements", doc["movements"], MOVEMENT_KEYS))
         )
         yellow = _integer("yellow_duration", doc["yellow_duration"])
     except (KeyError, TypeError) as exc:
@@ -324,13 +344,26 @@ def _integer(where: str, value) -> int:
     return value
 
 
-def _objects(where: str, items) -> list:
-    """`items`, refused by path unless it is an array of objects."""
+def _number(where: str, value) -> float:
+    """`value` as a float, refused by path unless it is a JSON number (a
+    string, a bool or null is not one)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{where} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{where} must be a number within the float range") from None
+
+
+def _objects(where: str, items, accepted) -> list:
+    """`items`, refused by path unless it is an array of objects whose keys
+    are all `accepted`."""
     if not isinstance(items, list):
         raise ValueError(f"{where} must be an array, got {type(items).__name__}")
     for k, item in enumerate(items):
         if not isinstance(item, dict):
             raise ValueError(f"{where}[{k}] must be an object, got {type(item).__name__}")
+        reject_unknown_keys(f"{where}[{k}]", item, accepted)
     return items
 
 
@@ -372,53 +405,30 @@ def intersection_to_document(spec: IntersectionSpec) -> dict:
     }
 
 
-def default_intersection(
-    lane_length_m: float = DEFAULT_LANE_LENGTH_M,
-    vmax_ms: float = DEFAULT_VMAX_MS,
-    yellow_duration: int = DEFAULT_YELLOW_S,
-) -> IntersectionSpec:
+def default_intersection(lane_length_m: float = DEFAULT_LANE_LENGTH_M,
+                         vmax_ms: float = DEFAULT_VMAX_MS,
+                         yellow_duration: int = DEFAULT_YELLOW_S) -> IntersectionSpec:
     """Four-arm intersection with a straight and a left movement per arm
     (8 lanes, 8 movements, 8 two-movement phases)."""
-    movements = []
-    for approach in APPROACHES:
-        for turn in TURNS:
-            movements.append(
-                Movement(
-                    id=len(movements),
-                    in_lane=len(movements),
-                    approach=approach,
-                    out_direction=turn,
-                )
-            )
-    movements = tuple(movements)
-    matrix = default_conflicts(movements)
-    return IntersectionSpec(
-        lanes=tuple(Lane(lane_length_m, vmax_ms) for _ in movements),
-        movements=movements,
-        conflict_matrix=matrix,
-        phases=tuple(enumerate_phases(movements, matrix)),
-        yellow_duration=yellow_duration,
-    )
+    return _four_arm(TURNS, lane_length_m, vmax_ms, yellow_duration)
 
 
-def two_phase_intersection(
-    lane_length_m: float = DEFAULT_LANE_LENGTH_M,
-    vmax_ms: float = DEFAULT_VMAX_MS,
-    yellow_duration: int = DEFAULT_YELLOW_S,
-) -> IntersectionSpec:
+def two_phase_intersection(lane_length_m: float = DEFAULT_LANE_LENGTH_M,
+                           vmax_ms: float = DEFAULT_VMAX_MS,
+                           yellow_duration: int = DEFAULT_YELLOW_S) -> IntersectionSpec:
     """Four straight-only arms and the classic two phases (NS green, WE green)."""
-    movements = tuple(
-        Movement(id=k, in_lane=k, approach=a, out_direction="straight")
-        for k, a in enumerate(APPROACHES)
-    )
+    return _four_arm(("straight",), lane_length_m, vmax_ms, yellow_duration)
+
+
+def _four_arm(turns, lane_length_m: float, vmax_ms: float,
+              yellow_duration: int) -> IntersectionSpec:
+    """A lane and a movement per approach and turn of `turns`, approach by
+    approach, and every compatible movement pair as a phase."""
+    movements = tuple(Movement(id=k, in_lane=k, approach=approach, out_direction=turn)
+                      for k, (approach, turn) in enumerate(itertools.product(APPROACHES, turns)))
     matrix = default_conflicts(movements)
-    return IntersectionSpec(
-        lanes=tuple(Lane(lane_length_m, vmax_ms) for _ in movements),
-        movements=movements,
-        conflict_matrix=matrix,
-        phases=tuple(enumerate_phases(movements, matrix)),
-        yellow_duration=yellow_duration,
-    )
+    return IntersectionSpec(tuple(Lane(lane_length_m, vmax_ms) for _ in movements), movements,
+                            matrix, tuple(enumerate_phases(movements, matrix)), yellow_duration)
 
 
 @dataclass(frozen=True)
@@ -462,10 +472,50 @@ class ClusteredProfile:
                              f"positive sum, got {weights!r}")
 
 
+# The most vehicles a profile may yield over its duration (see check_flow_size).
+MAX_FLOW_VEHICLES = 1_000_000
+
+
+def flow_size_bound(profile, duration: int) -> float:
+    """An upper bound on the vehicles `generate_flow` yields from `profile`
+    over `duration` seconds, computed without generating them.
+
+    Clustered: the platoon starts below `duration` times the longest platoon
+    that fits in it, `min(cluster_size, floor(duration / within_gap) + 1)`.
+    The starts are counted as `ceil(duration / inter_cluster_gap) + 1`: the
+    generator's start clock is a running float sum, which can fall short of a
+    multiple of the gap and so fit one more start.
+    Uniform: the vehicles are a Poisson count with mean `rate_per_lane *
+    n_lanes * duration`, and the bound is that mean plus ten standard
+    deviations plus 40, which a draw exceeds with a probability below 1e-22.
+    """
+    if isinstance(profile, UniformProfile):
+        mean = profile.rate_per_lane * profile.n_lanes * duration
+        return mean + 10 * math.sqrt(mean) + 40
+    if isinstance(profile, ClusteredProfile):
+        starts = -(-duration // profile.inter_cluster_gap) + 1
+        return starts * min(profile.cluster_size, duration // profile.within_gap + 1)
+    raise TypeError(f"unknown flow profile {type(profile).__name__}")
+
+
+def check_flow_size(profile, duration: int) -> None:
+    """Refuse, with a ValueError naming the profile's fields, a profile that
+    may yield more than MAX_FLOW_VEHICLES vehicles over `duration` seconds."""
+    try:
+        bound = flow_size_bound(profile, duration)
+    except OverflowError:  # a duration beyond the float range
+        bound = math.inf
+    if bound > MAX_FLOW_VEHICLES:
+        raise ValueError(f"{profile!r} may yield up to {bound:.3g} vehicles over {duration} s, "
+                         f"above the cap of {MAX_FLOW_VEHICLES} vehicles")
+
+
 def generate_flow(profile, seed: int, duration: int, label: str = "") -> FlowDataset:
-    """Deterministic synthetic demand from a profile and a seed."""
+    """Deterministic synthetic demand from a profile and a seed. A profile
+    that may yield more than MAX_FLOW_VEHICLES is refused before generating."""
     if duration < 0:
         raise ValueError("duration must be non-negative")
+    check_flow_size(profile, duration)
     rng = random.Random(seed)
     raw: list[tuple[int, int]] = []  # (spawn_time, lane)
     if isinstance(profile, UniformProfile):
@@ -475,11 +525,10 @@ def generate_flow(profile, seed: int, duration: int, label: str = "") -> FlowDat
             t = 0.0
             while True:
                 t += rng.expovariate(profile.rate_per_lane)
-                spawn = int(t)
-                if spawn >= duration:
+                if t >= duration:  # as int(t) >= duration, but also for t = inf
                     break
-                raw.append((spawn, lane))
-    elif isinstance(profile, ClusteredProfile):
+                raw.append((int(t), lane))
+    else:  # a ClusteredProfile, since check_flow_size refuses any other type
         lanes = list(range(len(profile.lane_weights)))
         start = 0.0
         while start < duration:
@@ -492,8 +541,6 @@ def generate_flow(profile, seed: int, duration: int, label: str = "") -> FlowDat
                     break
                 raw.append((spawn, lane))
             start += profile.inter_cluster_gap
-    else:
-        raise TypeError(f"unknown flow profile {type(profile).__name__}")
 
     raw.sort(key=lambda item: item[0])
     vehicles = tuple(

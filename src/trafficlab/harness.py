@@ -123,7 +123,7 @@ def _check_flow_profiles(entries) -> None:
             raise ValueError(f"{where}.profile must be a profile literal such as "
                              f"'uniform(rate_per_lane=0.05,n_lanes=8)', got {item['profile']!r}")
         try:
-            core.parse_profile(item["profile"])
+            core.check_flow_size(core.parse_profile(item["profile"]), item["duration"])
         except ValueError as exc:
             raise ValueError(f"{where}.profile: {exc}") from None
 

@@ -6,7 +6,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
-from .core import FlowDataset, IntersectionSpec, check_flow
+from .core import DEFAULT_BODY_LENGTH_M, FlowDataset, IntersectionSpec, check_flow
 
 WAITING = "waiting"
 APPROACHING = "approaching"
@@ -15,10 +15,10 @@ APPROACHING = "approaching"
 # fragile under position capping.
 WAITING_SPEED_MS = 0.1
 
-# Jam gap added behind a stopped leader. Effective spacing for the default
-# 5 m body is 7.5 m.
+# Jam gap added behind a stopped leader, and the spacing it gives the default
+# 5 m body.
 JAM_GAP_M = 2.5
-DEFAULT_MIN_SPACING_M = 7.5
+DEFAULT_MIN_SPACING_M = DEFAULT_BODY_LENGTH_M + JAM_GAP_M
 
 
 @dataclass(eq=True)
@@ -53,11 +53,8 @@ class SimState:
     completed: list = field(default_factory=list)       # (vehicle id, spawn_time, exit_time)
     flow_cursor: int = 0
     spawned: int = 0
-    # Derived lookup tables, not part of the semantic state: per phase, each
-    # lane's green flag; per lane, (length_m, vmax_ms); per movement, its lane.
+    # Per phase, each lane's green flag: the spec's `lane_green`.
     _lane_green: list = field(default_factory=list, compare=False, repr=False)
-    _lane_geometry: list = field(default_factory=list, compare=False, repr=False)
-    _movement_lane: list = field(default_factory=list, compare=False, repr=False)
     # Per lane, the length of the settled head of a red queue and its last
     # vehicle; see tick.
     _head: list = field(default_factory=list, compare=False, repr=False)
@@ -78,17 +75,11 @@ def init(spec: IntersectionSpec, flow: FlowDataset) -> SimState:
     Rejects a flow that does not fit the spec (see `core.check_flow`).
     """
     check_flow(spec, flow)
-    state = SimState(spec=spec, flow=flow)
+    state = SimState(spec=spec, flow=flow, _lane_green=spec.lane_green)
     state.lanes = [[] for _ in range(spec.n_lanes)]
     state.backlog = [deque() for _ in range(spec.n_lanes)]
     state._head = [0] * spec.n_lanes
     state._head_last = [None] * spec.n_lanes
-    state._lane_green = [
-        [j in spec.green_lanes(p) for j in range(spec.n_lanes)]
-        for p in range(spec.n_phases)
-    ]
-    state._lane_geometry = [(lane.length_m, lane.vmax_ms) for lane in spec.lanes]
-    state._movement_lane = [m.in_lane for m in spec.movements]
     return state
 
 
@@ -119,13 +110,13 @@ def tick(state: SimState) -> None:
     from the front when the lane's list no longer holds the head's last
     vehicle at its index, as after vehicles are put on the lane from outside.
 
-    Each lane's length and speed limit and each movement's lane come from
-    tables that `init` builds once.
+    Each lane's length and speed limit and each movement's lane come from the
+    spec's `lane_geometry` and `movement_lane` tables.
     """
     sig = state.signal
     greens = state._lane_green[sig.current_phase]
     crossing_open = sig.yellow_remaining == 0
-    geometry = state._lane_geometry
+    geometry = state.spec.lane_geometry
     heads = state._head
     head_lasts = state._head_last
     no_leader = math.inf
@@ -208,7 +199,7 @@ def tick(state: SimState) -> None:
     vehicles = state.flow.vehicles
     cursor = state.flow_cursor
     backlog = state.backlog
-    lane_of = state._movement_lane
+    lane_of = state.spec.movement_lane
     while cursor < len(vehicles) and vehicles[cursor].spawn_time <= clock:
         vehicle = vehicles[cursor]
         backlog[lane_of[vehicle.movement_id]].append(vehicle)

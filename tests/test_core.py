@@ -583,3 +583,36 @@ class TestLoadFlowLabel:
 
     def test_a_missing_label_loads_as_empty(self):
         assert core.load_flow('{"duration_s": 10, "vehicles": []}').label == ""
+
+
+class TestLaneAndMovementRefusals:
+    @pytest.mark.parametrize("text, message", [
+        # float() used to read "300" as 300.0
+        pytest.param(_intersection_text(lanes__1__length_m="300"),
+                     "lanes[1].length_m must be a number, got '300'", id="string-length"),
+        # float() used to read true as 1.0
+        pytest.param(_intersection_text(lanes__0__vmax_ms=True),
+                     "lanes[0].vmax_ms must be a number, got True", id="bool-vmax"),
+        pytest.param(_intersection_text(lanes__1__vmax_ms=None),
+                     "lanes[1].vmax_ms must be a number, got None", id="null-vmax"),
+        # float() used to raise a bare OverflowError
+        pytest.param(_intersection_text(lanes__0__length_m=10 ** 400),
+                     "lanes[0].length_m must be a number within the float range",
+                     id="huge-length"),
+        # an unknown key inside a lane or a movement used to be dropped unread
+        pytest.param(_intersection_text(lanes__0__width_m=3.5),
+                     "unknown lanes[0] key(s) 'width_m'; accepted keys: length_m, vmax_ms",
+                     id="unknown-lane-key"),
+        pytest.param(_intersection_text(movements__1__speed=9),
+                     "unknown movements[1] key(s) 'speed'; accepted keys: lane, approach, turn",
+                     id="unknown-movement-key"),
+    ])
+    def test_names_the_path(self, text, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            core.load_intersection(text)
+
+    def test_integers_still_load_as_floats(self):
+        spec = core.load_intersection(_intersection_text(lanes__0__length_m=250,
+                                                         lanes__1__vmax_ms=9))
+        assert spec.lanes[0] == core.Lane(250.0, 11.0) and spec.lanes[1] == core.Lane(300.0, 9.0)
+        assert type(spec.lanes[0].length_m) is float and type(spec.lanes[1].vmax_ms) is float
