@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import core, qnet
-from .core import IntersectionSpec, require_integers
+from .core import IntersectionSpec, require_finite, require_integer
 from .env import ActionSpace, Transition, decode_action, observation_dim, observe
 from .qnet import Adam, QNetwork
 from .sim import SimState
@@ -33,19 +33,17 @@ class DQNConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_integers(self, "batch_size", "replay_capacity", "eps_decay_steps", "seed")
-        if not (0.0 <= self.gamma <= 1.0):
-            raise ValueError("gamma must be in [0, 1]")
-        if self.batch_size < 1 or self.replay_capacity < 1:
-            raise ValueError("batch_size and replay_capacity must be positive")
-        if not 0 < self.lr < math.inf:
-            raise ValueError("lr must be positive and finite")
-        if not 0.0 <= self.tau <= 1.0:
-            raise ValueError("tau must be in [0, 1]")
-        if not (0.0 <= self.eps_end <= self.eps_start <= 1.0):
-            raise ValueError("need 0 <= eps_end <= eps_start <= 1")
-        if self.eps_decay_steps < 1:
-            raise ValueError("eps_decay_steps must be positive")
+        for name in ("gamma", "tau", "eps_start", "eps_end"):
+            if require_finite(name, getattr(self, name), positive=False) > 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)!r}")
+        if self.eps_end > self.eps_start:
+            raise ValueError(f"eps_end must be at most eps_start, got {self.eps_end!r} > "
+                             f"{self.eps_start!r}")
+        require_finite("lr", self.lr)
+        require_integer("batch_size", self.batch_size, 1)
+        require_integer("eps_decay_steps", self.eps_decay_steps, 1)
+        require_integer("replay_capacity", self.replay_capacity, 1)
+        require_integer("seed", self.seed, 0)  # numpy's generators refuse a negative seed
 
     @property
     def warmup(self) -> int:
@@ -181,6 +179,12 @@ class DQNAgent:
     """
 
     def __init__(self, in_dim: int, n_actions: int, config: DQNConfig):
+        # The buffer never holds more than its capacity, so below the warmup
+        # no update would ever run, and a run waiting for updates would hang.
+        if config.replay_capacity < config.warmup:
+            raise ValueError(f"replay_capacity {config.replay_capacity} is below the warmup of "
+                             f"{config.warmup} transitions (2 x batch_size {config.batch_size}); "
+                             "no update would ever run")
         self.config = config
         self.rng = np.random.default_rng(config.seed)
         self.net = QNetwork.build(in_dim, n_actions, self.rng)

@@ -3,11 +3,10 @@ threshold-integral schemes (cyclic cut-off and acyclic max-pressure variant)."""
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 
-from .core import IntersectionSpec, require_integers
+from .core import IntersectionSpec, require_finite, require_integer
 from .sim import APPROACHING, SimState
 
 
@@ -29,13 +28,10 @@ class SotlParams:
     detection_distance: float = 80.0
 
     def __post_init__(self):
-        require_integers(self, "cluster_split", "min_green")
-        if not 0 < self.threshold < math.inf:
-            raise ValueError("threshold must be positive and finite")
-        if self.min_green < 1:
-            raise ValueError("min_green must be at least 1 second")
-        if not 0 < self.detection_distance < math.inf:
-            raise ValueError("detection_distance must be positive and finite")
+        require_finite("threshold", self.threshold)
+        require_integer("cluster_split", self.cluster_split)
+        require_integer("min_green", self.min_green, 1)
+        require_finite("detection_distance", self.detection_distance)
 
 
 class FixedTimeController:

@@ -19,22 +19,42 @@ DEFAULT_BODY_LENGTH_M = 5.0
 DEFAULT_YELLOW_S = 5
 
 
-def require_integer(name: str, value) -> None:
-    """Refuse, with a ValueError naming the field, a `value` that is not an
-    integer: NaN, inf, fractions and bools included."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+def require_integer(name: str, value, low: int | None = None, high: int | None = None) -> int:
+    """`value`, refused with a ValueError naming the field if it is not an
+    integer (NaN, inf, fractions and bools included) or lies outside
+    `low`..`high`, where these are given."""
+    if type(value) is not int and (isinstance(value, bool)
+                                   or not isinstance(value, numbers.Integral)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        bound = "non-negative" if low == 0 else f"at least {low}"
+        raise ValueError(f"{name} must be {bound}, got {value!r}")
+    if high is not None and value > high:
+        raise ValueError(f"{name} must be at most {high}, got {value!r}")
+    return value
 
 
-def require_integers(obj, *names: str) -> None:
-    """`require_integer` on each of `obj`'s fields `names`."""
-    for name in names:
-        require_integer(name, getattr(obj, name))
+def require_finite(name: str, value, positive: bool = True) -> float:
+    """`value` as a float, refused with a ValueError naming the field unless it
+    is a real number (a bool or a string is not one) that is finite and
+    positive, or non-negative where `positive` is false."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be a number within the float range") from None
+    if not (math.isfinite(number) and (number > 0 if positive else number >= 0)):
+        sign = "positive" if positive else "non-negative"
+        raise ValueError(f"{name} must be {sign} and finite, got {value!r}")
+    return number
 
 
 def reject_unknown_keys(where: str, doc: dict, accepted) -> None:
-    """Refuse, with a ValueError naming them and listing `accepted`, the keys
-    of `doc` that `accepted` lacks."""
+    """Refuse, with a ValueError naming `where`, a `doc` that is not an object,
+    and one whose keys `accepted` lacks, naming them and listing `accepted`."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be an object, got {type(doc).__name__}")
     unknown = [key for key in doc if key not in accepted]
     if unknown:
         raise ValueError(f"unknown {where} key(s) {', '.join(map(repr, unknown))}; "
@@ -51,10 +71,14 @@ class Movement:
     approach: str       # "N" | "E" | "S" | "W"
 
     def __post_init__(self):
+        require_integer("id", self.id)
+        require_integer("in_lane", self.in_lane)
+        # named by their document keys, which the reader prefixes with the path
         if self.out_direction not in TURNS:
-            raise ValueError(f"unknown turn {self.out_direction!r}")
+            raise ValueError(f"turn must be one of {', '.join(TURNS)}, got {self.out_direction!r}")
         if self.approach not in APPROACHES:
-            raise ValueError(f"unknown approach {self.approach!r}")
+            raise ValueError(f"approach must be one of {', '.join(APPROACHES)}, "
+                             f"got {self.approach!r}")
 
 
 @dataclass(frozen=True)
@@ -116,6 +140,13 @@ class Phase:
     id: int
     green_movements: frozenset[int]
 
+    def __post_init__(self):
+        require_integer("id", self.id)
+        if not self.green_movements:
+            raise ValueError("green_movements must hold at least one movement id")
+        for member in self.green_movements:
+            require_integer("green_movements", member)
+
 
 @dataclass(frozen=True)
 class Lane:
@@ -124,9 +155,7 @@ class Lane:
 
     def __post_init__(self):
         for name in ("length_m", "vmax_ms"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"lane {name} must be positive and finite, got {value!r}")
+            object.__setattr__(self, name, require_finite(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -149,8 +178,9 @@ class IntersectionSpec:
     movement_lane: list = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.yellow_duration < 1:
-            raise ValueError("yellow_duration must be at least 1 second")
+        require_integer("yellow_duration", self.yellow_duration, 1)
+        if not self.phases:
+            raise ValueError("phases must list at least one phase")
         if self.conflict_matrix.size != len(self.movements):
             raise ValueError("conflict matrix size does not match movements")
         movement_lane = [m.in_lane for m in self.movements]
@@ -163,10 +193,15 @@ class IntersectionSpec:
         for k, p in enumerate(self.phases):
             if p.id != k:
                 raise ValueError("phase ids must be dense 0..I-1")
-            for i, j in itertools.combinations(sorted(p.green_movements), 2):
+            members = sorted(p.green_movements)
+            for i in (members[0], members[-1]):
+                if not 0 <= i < len(self.movements):
+                    raise ValueError(f"phases[{k}] serves movement {i}, which the "
+                                     f"intersection lacks (0..{len(self.movements) - 1})")
+            for i, j in itertools.combinations(members, 2):
                 if self.conflict_matrix.conflicts(i, j):
                     raise ValueError(
-                        f"phase {p.id} puts conflicting movements {i} and {j} on green"
+                        f"phases[{k}] puts conflicting movements {i} and {j} on green"
                     )
         phase_lanes = [frozenset(movement_lane[m] for m in p.green_movements) for p in self.phases]
         for name, table in (
@@ -200,8 +235,14 @@ class Vehicle:
     body_length: float = DEFAULT_BODY_LENGTH_M
 
     def __post_init__(self):
+        # Readers and the generator give exact ints: the general check runs
+        # only on a miss, since a flow builds a Vehicle per vehicle.
+        if not (type(self.id) is int and type(self.spawn_time) is int
+                and type(self.movement_id) is int):
+            for name in ("id", "spawn_time", "movement_id"):
+                require_integer(name, getattr(self, name))
         if self.spawn_time < 0:
-            raise ValueError("spawn_time must be non-negative")
+            raise ValueError(f"spawn_time must be non-negative, got {self.spawn_time}")
 
 
 @dataclass(frozen=True)
@@ -213,6 +254,7 @@ class FlowDataset:
     label: str = ""
 
     def __post_init__(self):
+        require_integer("duration", self.duration, 0, MAX_FLOW_DURATION_S)
         last = 0
         for v in self.vehicles:
             if v.spawn_time < last:
@@ -280,11 +322,13 @@ def load_intersection(spec_text: str) -> IntersectionSpec:
     movements ([{lane, approach, turn}]), optional conflicts ([[i, j], ...]),
     optional phases ([[movement ids], ...]).
 
-    A key outside these (at the top level, in a lane or in a movement), a
-    value that is not an integer where one goes, a lane length or speed limit
-    that is not a number, an array that is not one, no phases, an empty phase
-    and a phase member that is not a movement of the document are refused with
-    a ValueError naming the path, such as `movements[1].lane` or `phases[0][1]`.
+    The reader checks the document's shape: a key outside these (at the top
+    level, in a lane or in a movement), an array or an object that is not
+    one, a value that is not an integer where one goes, an empty phase and a
+    phase member that is not a movement of the document. The records check
+    the rest (see Lane, Movement, Phase and IntersectionSpec). Either way a
+    refusal is a ValueError naming the path, such as `movements[1].lane` or
+    `phases[0][1]`.
     """
     try:
         doc = json.loads(spec_text)
@@ -293,97 +337,48 @@ def load_intersection(spec_text: str) -> IntersectionSpec:
     if not isinstance(doc, dict):
         raise ValueError("intersection document must be an object")
     reject_unknown_keys("intersection document", doc, INTERSECTION_KEYS)
+    for key in ("lanes", "movements", "conflicts", "phases"):
+        if not isinstance(doc.get(key, []), list):
+            raise ValueError(f"{key} must be an array, got {type(doc[key]).__name__}")
+    for key, accepted in (("lanes", LANE_KEYS), ("movements", MOVEMENT_KEYS)):
+        for k, item in enumerate(doc.get(key, [])):
+            reject_unknown_keys(f"{key}[{k}]", item, accepted)
+    lanes, movements = [], []
     try:
-        lanes = tuple(
-            Lane(length_m=_number(f"lanes[{k}].length_m", l["length_m"]),
-                 vmax_ms=_number(f"lanes[{k}].vmax_ms", l["vmax_ms"]))
-            for k, l in enumerate(_objects("lanes", doc["lanes"], LANE_KEYS))
-        )
-        movements = tuple(
-            Movement(
-                id=k,
-                in_lane=_integer(f"movements[{k}].lane", m["lane"]),
-                approach=str(m["approach"]),
-                out_direction=str(m["turn"]),
-            )
-            for k, m in enumerate(_objects("movements", doc["movements"], MOVEMENT_KEYS))
-        )
-        yellow = _integer("yellow_duration", doc["yellow_duration"])
-    except (KeyError, TypeError) as exc:
+        yellow = doc["yellow_duration"]
+        for k, lane in enumerate(doc["lanes"]):
+            where = f"lanes[{k}]."
+            lanes.append(Lane(lane["length_m"], lane["vmax_ms"]))
+        for k, m in enumerate(doc["movements"]):
+            where = f"movements[{k}]."
+            movements.append(Movement(k, require_integer("lane", m["lane"]), m["turn"],
+                                      m["approach"]))
+    except KeyError as exc:
         raise ValueError(f"intersection document missing field: {exc}") from exc
+    except ValueError as exc:  # a record's refusal, which names its field
+        raise ValueError(f"{where}{exc}") from None
 
+    # Each conflict pair and phase as an array of movement ids; ConflictMatrix
+    # refuses a pair outside the movements, and the spec a phase member.
+    for key, size in (("conflicts", 2), ("phases", None)):
+        for k, ids in enumerate(doc.get(key, [])):
+            if not isinstance(ids, list) or not ids or len(ids) != (size or len(ids)):
+                raise ValueError(f"{key}[{k}] must be an array of "
+                                 f"{size or 'one or more'} movement ids, got {ids!r}")
+            for m, i in enumerate(ids):
+                require_integer(f"{key}[{k}][{m}]", i)
+                if size is None and not 0 <= i < len(movements):
+                    raise ValueError(f"{key}[{k}][{m}] is movement {i}, which the "
+                                     f"intersection lacks (0..{len(movements) - 1})")
     if "conflicts" in doc:
-        # ConflictMatrix refuses a pair outside the movements
-        pairs = _id_lists("conflicts", doc["conflicts"], size=2)
-        matrix = ConflictMatrix.from_pairs(len(movements), pairs)
+        matrix = ConflictMatrix.from_pairs(len(movements), doc["conflicts"])
     else:
         matrix = default_conflicts(movements)
-
     if "phases" in doc:
-        phases = tuple(
-            Phase(id=k, green_movements=frozenset(members))
-            for k, members in enumerate(
-                _id_lists("phases", doc["phases"], n_movements=len(movements)))
-        )
-        if not phases:
-            raise ValueError("phases must list at least one phase")
+        phases = tuple(Phase(k, frozenset(members)) for k, members in enumerate(doc["phases"]))
     else:
         phases = tuple(enumerate_phases(movements, matrix))
-
-    return IntersectionSpec(
-        lanes=lanes,
-        movements=movements,
-        conflict_matrix=matrix,
-        phases=phases,
-        yellow_duration=yellow,
-    )
-
-
-def _integer(where: str, value) -> int:
-    require_integer(where, value)
-    return value
-
-
-def _number(where: str, value) -> float:
-    """`value` as a float, refused by path unless it is a JSON number (a
-    string, a bool or null is not one)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{where} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{where} must be a number within the float range") from None
-
-
-def _objects(where: str, items, accepted) -> list:
-    """`items`, refused by path unless it is an array of objects whose keys
-    are all `accepted`."""
-    if not isinstance(items, list):
-        raise ValueError(f"{where} must be an array, got {type(items).__name__}")
-    for k, item in enumerate(items):
-        if not isinstance(item, dict):
-            raise ValueError(f"{where}[{k}] must be an object, got {type(item).__name__}")
-        reject_unknown_keys(f"{where}[{k}]", item, accepted)
-    return items
-
-
-def _id_lists(where: str, lists, size: int | None = None,
-              n_movements: int | None = None) -> list:
-    """`lists`, refused by path unless it is an array of non-empty arrays of
-    movement ids: of `size` ids each and each id below `n_movements`, where
-    these are given."""
-    if not isinstance(lists, list):
-        raise ValueError(f"{where} must be an array, got {type(lists).__name__}")
-    for k, ids in enumerate(lists):
-        if not isinstance(ids, list) or not ids or (size is not None and len(ids) != size):
-            raise ValueError(f"{where}[{k}] must be an array of "
-                             f"{size or 'one or more'} movement ids, got {ids!r}")
-        for m, i in enumerate(ids):
-            require_integer(f"{where}[{k}][{m}]", i)
-            if n_movements is not None and not 0 <= i < n_movements:
-                raise ValueError(f"{where}[{k}][{m}] is movement {i}, which the "
-                                 f"intersection lacks (0..{n_movements - 1})")
-    return lists
+    return IntersectionSpec(tuple(lanes), tuple(movements), matrix, phases, yellow)
 
 
 def intersection_to_document(spec: IntersectionSpec) -> dict:
@@ -440,11 +435,8 @@ class UniformProfile:
 
     def __post_init__(self):
         # expovariate(inf) is 0.0, so an infinite rate never ends the flow
-        if not (math.isfinite(self.rate_per_lane) and self.rate_per_lane >= 0):
-            raise ValueError(f"rate_per_lane must be non-negative and finite, "
-                             f"got {self.rate_per_lane!r}")
-        if self.n_lanes < 1:
-            raise ValueError("need at least one lane")
+        require_finite("rate_per_lane", self.rate_per_lane, positive=False)
+        require_integer("n_lanes", self.n_lanes, 1)
 
 
 @dataclass(frozen=True)
@@ -459,21 +451,22 @@ class ClusteredProfile:
     lane_weights: tuple[float, ...]
 
     def __post_init__(self):
-        if self.cluster_size < 1:
-            raise ValueError("cluster_size must be at least 1")
-        for name in ("inter_cluster_gap", "within_gap"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        weights = self.lane_weights
-        if (not weights or not all(math.isfinite(w) and w >= 0 for w in weights)
-                or sum(weights) == 0):
+        require_integer("cluster_size", self.cluster_size, 1)
+        require_finite("inter_cluster_gap", self.inter_cluster_gap)
+        require_finite("within_gap", self.within_gap)
+        for weight in self.lane_weights:
+            require_finite("lane_weights", weight, positive=False)
+        if not 0 < sum(self.lane_weights) < math.inf:
             raise ValueError(f"lane_weights must be non-negative and finite with a "
-                             f"positive sum, got {weights!r}")
+                             f"positive, finite sum, got {self.lane_weights!r}")
 
 
-# The most vehicles a profile may yield over its duration (see check_flow_size).
+# The most vehicles a profile may yield over its duration, and the most lanes
+# a uniform profile may have (see check_flow_size).
 MAX_FLOW_VEHICLES = 1_000_000
+# The longest flow, in simulated seconds (about 11.6 days): FlowDataset and
+# the config's horizon refuse more, since an episode ticks once per second.
+MAX_FLOW_DURATION_S = 1_000_000
 
 
 def flow_size_bound(profile, duration: int) -> float:
@@ -500,7 +493,9 @@ def flow_size_bound(profile, duration: int) -> float:
 
 def check_flow_size(profile, duration: int) -> None:
     """Refuse, with a ValueError naming the profile's fields, a profile that
-    may yield more than MAX_FLOW_VEHICLES vehicles over `duration` seconds."""
+    may yield more than MAX_FLOW_VEHICLES vehicles over `duration` seconds,
+    and a uniform profile with more than MAX_FLOW_VEHICLES lanes, which the
+    generator would visit one by one."""
     try:
         bound = flow_size_bound(profile, duration)
     except OverflowError:  # a duration beyond the float range
@@ -508,20 +503,22 @@ def check_flow_size(profile, duration: int) -> None:
     if bound > MAX_FLOW_VEHICLES:
         raise ValueError(f"{profile!r} may yield up to {bound:.3g} vehicles over {duration} s, "
                          f"above the cap of {MAX_FLOW_VEHICLES} vehicles")
+    if isinstance(profile, UniformProfile):
+        require_integer("n_lanes", profile.n_lanes, high=MAX_FLOW_VEHICLES)
 
 
 def generate_flow(profile, seed: int, duration: int, label: str = "") -> FlowDataset:
     """Deterministic synthetic demand from a profile and a seed. A profile
-    that may yield more than MAX_FLOW_VEHICLES is refused before generating."""
-    if duration < 0:
-        raise ValueError("duration must be non-negative")
+    that check_flow_size refuses is refused before generating, and a uniform
+    profile at rate 0 yields its empty flow without visiting a lane."""
+    require_integer("duration", duration, 0)
     check_flow_size(profile, duration)
+    if isinstance(profile, UniformProfile) and profile.rate_per_lane == 0:
+        return FlowDataset(vehicles=(), duration=duration, label=label)
     rng = random.Random(seed)
     raw: list[tuple[int, int]] = []  # (spawn_time, lane)
     if isinstance(profile, UniformProfile):
         for lane in range(profile.n_lanes):
-            if profile.rate_per_lane == 0:
-                continue
             t = 0.0
             while True:
                 t += rng.expovariate(profile.rate_per_lane)
@@ -581,7 +578,8 @@ def split_halves(dataset: FlowDataset) -> tuple[FlowDataset, FlowDataset]:
 
 
 FLOW_KEYS = ("duration_s", "label", "vehicles")
-VEHICLE_KEYS = ("id", "spawn_time_s", "movement")
+# Each Vehicle field and the key that holds it in a flow document.
+VEHICLE_KEYS = {"id": "id", "spawn_time": "spawn_time_s", "movement_id": "movement"}
 
 
 def load_flow(text: str) -> FlowDataset:
@@ -590,9 +588,11 @@ def load_flow(text: str) -> FlowDataset:
 
     A document that is not an object, lacks a key, has a key outside these,
     holds a value that is not an integer or a label that is not a string, a
-    negative duration or spawn time, or vehicles out of spawn order or past
-    the duration is refused with a ValueError naming the path, such as
-    `vehicles[17].spawn_time_s`.
+    negative duration or spawn time, a duration above MAX_FLOW_DURATION_S, or
+    vehicles out of spawn order or past the duration is refused with a
+    ValueError naming the path, such as `vehicles[17].spawn_time_s`. Vehicle
+    and FlowDataset hold the rules on values; the reader names a refused
+    field by its document key.
     """
     doc = json.loads(text)
     if not isinstance(doc, dict):
@@ -601,10 +601,7 @@ def load_flow(text: str) -> FlowDataset:
         if key not in doc:
             raise ValueError(f"flow document lacks {key}")
     reject_unknown_keys("flow document", doc, FLOW_KEYS)
-    duration = doc["duration_s"]
-    require_integer("duration_s", duration)
-    if duration < 0:
-        raise ValueError(f"duration_s must be non-negative, got {duration}")
+    duration = require_integer("duration_s", doc["duration_s"], 0, MAX_FLOW_DURATION_S)
     rows = doc["vehicles"]
     if not isinstance(rows, list):
         raise ValueError(f"vehicles must be an array, got {type(rows).__name__}")
@@ -614,19 +611,18 @@ def load_flow(text: str) -> FlowDataset:
             raise ValueError(f"vehicles[{k}] must be an object, got {type(row).__name__}")
         vid, spawn, movement = row.get("id"), row.get("spawn_time_s"), row.get("movement")
         # json gives int for an integer, and three integers in a row of three
-        # keys leave no room for another key; anything else is checked by name.
+        # keys leave no room for another key; anything else is checked by key.
         if (type(vid) is not int or type(spawn) is not int or type(movement) is not int
                 or len(row) != 3):
-            for name, value in zip(VEHICLE_KEYS, (vid, spawn, movement)):
-                if name not in row:
-                    raise ValueError(f"vehicles[{k}] lacks {name}")
-                require_integer(f"vehicles[{k}].{name}", value)
-            reject_unknown_keys(f"vehicles[{k}]", row, VEHICLE_KEYS)
+            for key in VEHICLE_KEYS.values():
+                if key not in row:
+                    raise ValueError(f"vehicles[{k}] lacks {key}")
+            reject_unknown_keys(f"vehicles[{k}]", row, VEHICLE_KEYS.values())
         try:
             vehicles.append(Vehicle(vid, spawn, movement))
-        except ValueError:
-            raise ValueError(f"vehicles[{k}].spawn_time_s must be non-negative, "
-                             f"got {spawn}") from None
+        except ValueError as exc:  # Vehicle names its field; the path names the key
+            name, _, problem = str(exc).partition(" ")
+            raise ValueError(f"vehicles[{k}].{VEHICLE_KEYS[name]} {problem}") from None
     label = doc.get("label", "")
     if not isinstance(label, str):
         raise ValueError(f"label must be a string, got {label!r}")

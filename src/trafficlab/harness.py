@@ -57,18 +57,17 @@ class ExperimentConfig:
     repeats: int = 1
 
     def __post_init__(self):
-        core.reject_unknown_keys("dqn", self.dqn, [f.name for f in fields(DQNConfig)])
-        core.reject_unknown_keys("sotl", self.sotl, [f.name for f in fields(SotlParams)])
-        integers = ["eval_every", "total_epochs", "repeats", "holdout_index", "seed"]
+        for key, record in (("dqn", DQNConfig), ("sotl", SotlParams)):
+            core.reject_unknown_keys(key, getattr(self, key), [f.name for f in fields(record)])
+            try:
+                record(**getattr(self, key))
+            except ValueError as exc:  # the record names the field
+                raise ValueError(f"{key}.{exc}") from None
+        for name, low in (("eval_every", 1), ("total_epochs", None), ("repeats", 1),
+                          ("holdout_index", None), ("seed", None)):
+            core.require_integer(name, getattr(self, name), low)
         if self.horizon is not None:
-            integers.append("horizon")
-        core.require_integers(self, *integers)
-        if self.eval_every < 1:
-            raise ValueError("eval_every must be at least 1")
-        if self.repeats < 1:
-            raise ValueError("repeats must be at least 1")
-        if self.horizon is not None and self.horizon < 1:
-            raise ValueError("horizon must be at least 1")
+            core.require_integer("horizon", self.horizon, 1, core.MAX_FLOW_DURATION_S)
         _check_flow_profiles(self.flow_profiles)
         if self.process not in ("mdp", "smdp"):
             raise ValueError("process must be 'mdp' or 'smdp'")
@@ -112,13 +111,11 @@ def _check_flow_profiles(entries) -> None:
         for key in ("profile", "seed", "duration"):
             if key not in item:
                 raise ValueError(f"{where} lacks the {key!r} key")
-        for key in ("seed", "duration"):
-            core.require_integer(f"{where}.{key}", item[key])
+        core.require_integer(f"{where}.seed", item["seed"])
+        # validation and compare cut a flow into two halves of at least 1 s
+        core.require_integer(f"{where}.duration", item["duration"], 2, core.MAX_FLOW_DURATION_S)
         if "label" in item and not isinstance(item["label"], str):
             raise ValueError(f"{where}.label must be a string, got {item['label']!r}")
-        # validation and compare cut a flow into two halves of at least 1 s
-        if item["duration"] < 2:
-            raise ValueError(f"{where}.duration must be at least 2, got {item['duration']!r}")
         if not isinstance(item["profile"], str):
             raise ValueError(f"{where}.profile must be a profile literal such as "
                              f"'uniform(rate_per_lane=0.05,n_lanes=8)', got {item['profile']!r}")
@@ -300,7 +297,7 @@ def compare(config: ExperimentConfig):
     avg_travel_time_s.
     """
     spec, flows = load_materials(config)
-    sotl = SotlParams(**config.sotl) if config.sotl else SotlParams()
+    sotl = SotlParams(**config.sotl)
     repeats = max(1, config.repeats)
     halves = [(flow.label or f"flow{k}", core.split_halves(flow))
               for k, flow in enumerate(flows)]

@@ -4,16 +4,29 @@ refused with a ValueError that names where they broke.
 The checkpoint property starts from a valid version-2 file and drops,
 reshapes, retypes or truncates one member, replaces a JSON block with a value
 that is not an object, or cuts the file's bytes.
+
+The record property builds the records directly from odd field values: each
+either holds its invariants or is refused with a ValueError naming a field.
 """
 
+import dataclasses
+import functools
 import json
+import math
+import numbers
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trafficlab import core
 from trafficlab.agents import DQNAgent, DQNConfig, load_checkpoint, save_checkpoint
+from trafficlab.baselines import SotlParams
+from trafficlab.core import (APPROACHES, MAX_FLOW_DURATION_S, TURNS, ClusteredProfile,
+                             FlowDataset, IntersectionSpec, Lane, Movement, Phase,
+                             UniformProfile, Vehicle)
 from trafficlab.env import Transition
 
 FUZZ_SETTINGS = settings(max_examples=150, deadline=2000, derandomize=True, database=None)
@@ -121,3 +134,102 @@ def test_a_mutated_checkpoint_reads_back_equal_or_is_refused_by_name(original, m
     assert loaded.config == agent.config
     assert loaded.rng.bit_generator.state == agent.rng.bit_generator.state
     assert meta == {"variant": "wad", "note": [1, 2]}
+
+
+# Values a field must refuse or hold unharmed: bools, fractions, NaN and
+# +-inf, huge and negative integers, and strings.
+ODD = st.one_of(st.booleans(), st.fractions(), st.floats(),
+                st.sampled_from([math.nan, math.inf, -math.inf, 10 ** 400, -10 ** 400]),
+                st.integers(-10 ** 30, 10 ** 30), st.text(max_size=3))
+INTEGERS = st.integers(-2, 8) | ODD
+NUMBERS = st.floats(0.0, 1.0) | st.floats(0.0, 100.0) | ODD
+
+TWO_PHASE = core.two_phase_intersection()
+
+FIELDS = {
+    Vehicle: dict(id=INTEGERS, spawn_time=INTEGERS, movement_id=INTEGERS),
+    FlowDataset: dict(vehicles=st.just((Vehicle(0, 0, 0), Vehicle(1, 3, 1))),
+                      duration=INTEGERS | st.just(MAX_FLOW_DURATION_S + 1)),
+    Movement: dict(id=INTEGERS, in_lane=INTEGERS, out_direction=st.sampled_from(TURNS) | ODD,
+                   approach=st.sampled_from(APPROACHES) | ODD),
+    Phase: dict(id=INTEGERS, green_movements=st.frozensets(INTEGERS, max_size=3)),
+    Lane: dict(length_m=NUMBERS, vmax_ms=NUMBERS),
+    IntersectionSpec: dict(
+        lanes=st.just(TWO_PHASE.lanes), movements=st.just(TWO_PHASE.movements),
+        conflict_matrix=st.just(TWO_PHASE.conflict_matrix),
+        phases=st.lists(st.frozensets(st.integers(-2, 6), min_size=1, max_size=2),
+                        max_size=3).map(lambda sets: tuple(map(Phase, range(len(sets)), sets))),
+        yellow_duration=INTEGERS),
+    UniformProfile: dict(rate_per_lane=NUMBERS, n_lanes=INTEGERS),
+    ClusteredProfile: dict(cluster_size=INTEGERS, inter_cluster_gap=NUMBERS, within_gap=NUMBERS,
+                           lane_weights=st.lists(NUMBERS, max_size=3).map(tuple)),
+    SotlParams: dict(threshold=NUMBERS, cluster_split=INTEGERS, min_green=INTEGERS,
+                     detection_distance=NUMBERS),
+    DQNConfig: dict(gamma=NUMBERS, lr=NUMBERS, batch_size=INTEGERS, tau=NUMBERS,
+                    eps_start=NUMBERS, eps_end=NUMBERS, eps_decay_steps=INTEGERS,
+                    replay_capacity=INTEGERS, seed=INTEGERS),
+}
+# The words a refusal may name a field by, where they are not its name.
+ALIASES = {"out_direction": "turn"}
+
+
+def is_integer(value, low=-math.inf, high=math.inf) -> bool:
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and low <= value <= high)
+
+
+def is_finite(value, positive=True) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value) and (value > 0 if positive else value >= 0))
+
+
+INVARIANTS = {
+    Vehicle: lambda v: (is_integer(v.id) and is_integer(v.spawn_time, 0)
+                        and is_integer(v.movement_id)),
+    FlowDataset: lambda f: is_integer(f.duration, 4, MAX_FLOW_DURATION_S),
+    Movement: lambda m: (is_integer(m.id) and is_integer(m.in_lane) and m.out_direction in TURNS
+                         and m.approach in APPROACHES),
+    Phase: lambda p: (is_integer(p.id) and len(p.green_movements) > 0
+                      and all(is_integer(i) for i in p.green_movements)),
+    Lane: lambda lane: type(lane.length_m) is type(lane.vmax_ms) is float and all(
+        is_finite(x) for x in (lane.length_m, lane.vmax_ms)),
+    IntersectionSpec: lambda s: (is_integer(s.yellow_duration, 1) and len(s.phases) > 0
+                                 and all(is_integer(i, 0, 3)
+                                         for p in s.phases for i in p.green_movements)),
+    UniformProfile: lambda p: is_finite(p.rate_per_lane, False) and is_integer(p.n_lanes, 1),
+    ClusteredProfile: lambda p: (is_integer(p.cluster_size, 1) and is_finite(p.inter_cluster_gap)
+                                 and is_finite(p.within_gap)
+                                 and all(is_finite(w, False) for w in p.lane_weights)
+                                 and 0 < sum(p.lane_weights) < math.inf),
+    SotlParams: lambda p: (is_finite(p.threshold) and is_integer(p.cluster_split)
+                           and is_integer(p.min_green, 1) and is_finite(p.detection_distance)),
+    DQNConfig: lambda c: (all(is_finite(x, False) and x <= 1
+                              for x in (c.gamma, c.tau, c.eps_start, c.eps_end))
+                          and c.eps_end <= c.eps_start and is_finite(c.lr)
+                          and all(is_integer(n, 1) for n in (c.batch_size, c.eps_decay_steps,
+                                                               c.replay_capacity))
+                          and is_integer(c.seed, 0)),
+}
+
+
+def attempt(cls, **fields):
+    """(cls, the record built from `fields`, or the ValueError refusing them)."""
+    try:
+        return cls, cls(**fields)
+    except ValueError as exc:
+        return cls, exc
+
+
+RECORDS = st.one_of(*(st.builds(functools.partial(attempt, cls), **fields)
+                      for cls, fields in FIELDS.items()))
+
+
+@settings(max_examples=400, deadline=500, derandomize=True, database=None)
+@given(drawn=RECORDS)
+def test_a_record_built_from_odd_fields_holds_its_invariants_or_names_the_field(drawn):
+    cls, outcome = drawn
+    if isinstance(outcome, ValueError):
+        names = [ALIASES.get(f.name, f.name) for f in dataclasses.fields(cls) if f.init]
+        assert re.match(rf"({'|'.join(names)})\b", str(outcome)), (cls.__name__, outcome)
+    else:
+        assert INVARIANTS[cls](outcome), outcome
