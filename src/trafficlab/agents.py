@@ -18,6 +18,9 @@ from .qnet import Adam, QNetwork
 from .sim import SimState
 
 REPLAY_CAPACITY = 360_000
+# The most replay memory an agent may ask for, in bytes (16 GiB). At the default
+# capacity, an 8-lane `wads` state (40 inputs) takes about 240 MB.
+MAX_REPLAY_BYTES = 16 * 2**30
 
 
 @dataclass
@@ -185,6 +188,14 @@ class DQNAgent:
             raise ValueError(f"replay_capacity {config.replay_capacity} is below the warmup of "
                              f"{config.warmup} transitions (2 x batch_size {config.batch_size}); "
                              "no update would ever run")
+        # The buffer allocates its whole capacity at the first transition: per
+        # transition two float64 states, an int64 action and duration, a
+        # float64 reward and a bool terminal.
+        needed = config.replay_capacity * (16 * in_dim + 25)
+        if needed > MAX_REPLAY_BYTES:
+            raise ValueError(f"replay_capacity {config.replay_capacity} needs {needed / 2**30:.3g} "
+                             f"GiB of replay memory for {in_dim} inputs, above the cap of "
+                             f"{MAX_REPLAY_BYTES / 2**30:g} GiB")
         self.config = config
         self.rng = np.random.default_rng(config.seed)
         self.net = QNetwork.build(in_dim, n_actions, self.rng)

@@ -158,6 +158,14 @@ class Lane:
             object.__setattr__(self, name, require_finite(name, getattr(self, name)))
 
 
+# The most movements (so lanes, one movement each) and phases a spec may have;
+# the ready-made specs have 8 and 8. The lookup tables are lanes x phases, and a
+# document without phases gets one per compatible movement pair: 400 lanes with
+# no conflicts make 79,800 phases and tables of 32 million entries.
+MAX_MOVEMENTS = 128
+MAX_PHASES = 1024
+
+
 @dataclass(frozen=True)
 class IntersectionSpec:
     """Immutable intersection topology plus derived phase set and lookup tables."""
@@ -179,6 +187,8 @@ class IntersectionSpec:
 
     def __post_init__(self):
         require_integer("yellow_duration", self.yellow_duration, 1)
+        require_integer("len(movements)", len(self.movements), high=MAX_MOVEMENTS)
+        require_integer("len(phases)", len(self.phases), high=MAX_PHASES)
         if not self.phases:
             raise ValueError("phases must list at least one phase")
         if self.conflict_matrix.size != len(self.movements):
@@ -324,7 +334,8 @@ def load_intersection(spec_text: str) -> IntersectionSpec:
 
     The reader checks the document's shape: a key outside these (at the top
     level, in a lane or in a movement), an array or an object that is not
-    one, a value that is not an integer where one goes, an empty phase and a
+    one, more movements, lanes or phases than MAX_MOVEMENTS and MAX_PHASES
+    allow, a value that is not an integer where one goes, an empty phase and a
     phase member that is not a movement of the document. The records check
     the rest (see Lane, Movement, Phase and IntersectionSpec). Either way a
     refusal is a ValueError naming the path, such as `movements[1].lane` or
@@ -340,6 +351,9 @@ def load_intersection(spec_text: str) -> IntersectionSpec:
     for key in ("lanes", "movements", "conflicts", "phases"):
         if not isinstance(doc.get(key, []), list):
             raise ValueError(f"{key} must be an array, got {type(doc[key]).__name__}")
+    for key, cap in (("movements", MAX_MOVEMENTS), ("lanes", MAX_MOVEMENTS),
+                     ("phases", MAX_PHASES)):  # before any phase is enumerated
+        require_integer(f"len({key})", len(doc.get(key, [])), high=cap)
     for key, accepted in (("lanes", LANE_KEYS), ("movements", MOVEMENT_KEYS)):
         for k, item in enumerate(doc.get(key, [])):
             reject_unknown_keys(f"{key}[{k}]", item, accepted)

@@ -15,6 +15,7 @@ from .sim import DEFAULT_MIN_SPACING_M, SimState
 # single per-lane total; the others expose separate blocks in the order
 # [waiting | approaching | distance | speed], each followed by the phase one-hot.
 VARIANTS = ("combined", "wa", "wad", "wads")
+ACTION_MODES = ("cyclic", "acyclic")  # see ActionSpace
 _BLOCKS = {"combined": 1, "wa": 2, "wad": 3, "wads": 4}
 
 
@@ -76,7 +77,7 @@ class ActionSpace:
     n_phases: int
 
     def __post_init__(self):
-        if self.mode not in ("cyclic", "acyclic"):
+        if self.mode not in ACTION_MODES:
             raise ValueError(f"unknown action mode {self.mode!r}")
         if self.size < 2:
             raise ValueError("need at least two actions; acyclic control requires 2+ phases")

@@ -7,7 +7,7 @@ import csv
 import itertools
 import json
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +17,8 @@ from .agents import (DQNAgent, DQNConfig, GreedyController, checkpoint_spec, loa
                      save_checkpoint)
 from .baselines import CONTROLLER_NAMES, SotlParams, make_controller
 from .core import FlowDataset, IntersectionSpec
-from .env import ActionSpace, TrafficEnv, lane_capacity, observation_dim, reward
+from .env import (ACTION_MODES, VARIANTS, ActionSpace, TrafficEnv, lane_capacity,
+                  observation_dim, reward)
 
 # Figure-of-merit bookkeeping runs on weight updates; one epoch is 900 updates.
 UPDATES_PER_EPOCH = 900
@@ -63,14 +64,22 @@ class ExperimentConfig:
                 record(**getattr(self, key))
             except ValueError as exc:  # the record names the field
                 raise ValueError(f"{key}.{exc}") from None
-        for name, low in (("eval_every", 1), ("total_epochs", None), ("repeats", 1),
+        for name, low in (("eval_every", 1), ("total_epochs", 0), ("repeats", 1),
                           ("holdout_index", None), ("seed", None)):
             core.require_integer(name, getattr(self, name), low)
         if self.horizon is not None:
             core.require_integer("horizon", self.horizon, 1, core.MAX_FLOW_DURATION_S)
-        _check_flow_profiles(self.flow_profiles)
-        if self.process not in ("mdp", "smdp"):
-            raise ValueError("process must be 'mdp' or 'smdp'")
+        for name in ("intersection", "out_dir"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a path string, got {getattr(self, name)!r}")
+        if not (isinstance(self.flows, list) and all(isinstance(f, str) for f in self.flows)):
+            raise ValueError(f"flows must be a list of flow document paths, got {self.flows!r}")
+        _read_flow_profiles(self.flow_profiles)
+        for name, accepted in (("variant", VARIANTS), ("action_mode", ACTION_MODES),
+                               ("process", ("mdp", "smdp"))):
+            if getattr(self, name) not in accepted:
+                raise ValueError(f"{name} must be one of {', '.join(accepted)}, "
+                                 f"got {getattr(self, name)!r}")
         if not isinstance(self.controllers, list):
             raise ValueError(f"controllers must be a list of names, not {self.controllers!r}")
         for name in self.controllers:
@@ -86,6 +95,8 @@ class ExperimentConfig:
         if not isinstance(doc, dict):
             raise ValueError(f"config {path} must be a JSON object")
         core.reject_unknown_keys("config", doc, [f.name for f in fields(cls)])
+        if "intersection" not in doc:
+            raise ValueError(f"config {path} lacks the 'intersection' key")
         config = cls(**doc)
         base = path.parent
         config.intersection = str(_resolve(base, config.intersection))
@@ -97,11 +108,13 @@ class ExperimentConfig:
         return config
 
 
-def _check_flow_profiles(entries) -> None:
-    """Refuse a `flow_profiles` entry that `load_materials` could not generate
-    as written, naming the entry's index and the field."""
+def _read_flow_profiles(entries) -> list[dict]:
+    """Each `flow_profiles` entry's `generate_flow` arguments (the label
+    defaults to `<profile>@seed<seed>`), refusing an entry that could not be
+    generated as written, naming the entry's index and the field."""
     if not isinstance(entries, list):
         raise ValueError(f"flow_profiles must be a list of entries, not {entries!r}")
+    arguments = []
     for k, item in enumerate(entries):
         where = f"flow_profiles[{k}]"
         if not isinstance(item, dict):
@@ -120,9 +133,13 @@ def _check_flow_profiles(entries) -> None:
             raise ValueError(f"{where}.profile must be a profile literal such as "
                              f"'uniform(rate_per_lane=0.05,n_lanes=8)', got {item['profile']!r}")
         try:
-            core.check_flow_size(core.parse_profile(item["profile"]), item["duration"])
+            profile = core.parse_profile(item["profile"])
+            core.check_flow_size(profile, item["duration"])
         except ValueError as exc:
             raise ValueError(f"{where}.profile: {exc}") from None
+        arguments.append(dict(profile=profile, seed=item["seed"], duration=item["duration"],
+                              label=item.get("label", f"{item['profile']}@seed{item['seed']}")))
+    return arguments
 
 
 def _resolve(base: Path, p: str) -> Path:
@@ -135,16 +152,7 @@ def load_materials(config: ExperimentConfig):
     flow that does not fit the intersection before an episode runs."""
     spec = core.load_intersection(Path(config.intersection).read_text(encoding="utf-8"))
     flows = [core.load_flow(Path(f).read_text(encoding="utf-8")) for f in config.flows]
-    for item in config.flow_profiles:
-        profile = core.parse_profile(item["profile"])
-        flows.append(
-            core.generate_flow(
-                profile,
-                seed=int(item["seed"]),
-                duration=int(item["duration"]),
-                label=item.get("label", f"{item['profile']}@seed{item['seed']}"),
-            )
-        )
+    flows += [core.generate_flow(**args) for args in _read_flow_profiles(config.flow_profiles)]
     if not flows:
         raise ValueError("config names no flows")
     labels = [flow.label or f"flow{k}" for k, flow in enumerate(flows)]  # as compare names them
@@ -209,23 +217,18 @@ def run_training(config: ExperimentConfig) -> TrainingRun:
         raise ValueError(f"holdout_index {config.holdout_index} is outside [-{n}, {n}) "
                          f"for {n} flows")
     holdout = config.holdout_index % n
-    if n >= 2:
-        train_flows, val_flow, _ = core.split_dataset(flows, holdout)
-    else:
-        # Single-flow smoke setups: train on the full flow, validate on its first half.
-        train_flows = flows
-        val_flow, _ = core.split_halves(flows[0])
+    val_flow, _ = core.split_halves(flows[holdout])
+    # The other flows train; a single flow (a smoke setup) trains on itself.
+    train_flows = [f for k, f in enumerate(flows) if k != holdout] or flows
 
     space = ActionSpace(config.action_mode, spec.n_phases)
     in_dim = observation_dim(config.variant, spec.n_lanes, spec.n_phases)
     total_updates = config.total_epochs * UPDATES_PER_EPOCH
 
-    dqn_kwargs = dict(config.dqn)
-    dqn_kwargs.setdefault("seed", config.seed)
-    if "eps_decay_steps" not in dqn_kwargs:
-        probe = DQNConfig(**dqn_kwargs)
-        dqn_kwargs["eps_decay_steps"] = max(1, (probe.warmup + total_updates) // 2)
-    dqn_config = DQNConfig(**dqn_kwargs)
+    dqn_config = DQNConfig(**{"seed": config.seed, **config.dqn})
+    if "eps_decay_steps" not in config.dqn:
+        dqn_config = replace(dqn_config,
+                             eps_decay_steps=max(1, (dqn_config.warmup + total_updates) // 2))
     agent = DQNAgent(in_dim, space.size, dqn_config)
 
     meta = {

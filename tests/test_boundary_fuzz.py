@@ -7,13 +7,20 @@ that is not an object, or cuts the file's bytes.
 
 The record property builds the records directly from odd field values: each
 either holds its invariants or is refused with a ValueError naming a field.
+
+The config property mutates one field of a valid config document (a value of
+another type, a string in place of a list, NaN, +-inf, a bool, a huge integer,
+a missing or an unknown key) and reads it: the config either loads with every
+field of its documented kind, or is refused with a ValueError naming the field.
 """
 
+import copy
 import dataclasses
 import functools
 import json
 import math
 import numbers
+import operator
 import re
 
 import numpy as np
@@ -21,13 +28,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trafficlab import core
+from trafficlab import core, harness
 from trafficlab.agents import DQNAgent, DQNConfig, load_checkpoint, save_checkpoint
-from trafficlab.baselines import SotlParams
+from trafficlab.baselines import CONTROLLER_NAMES, SotlParams
 from trafficlab.core import (APPROACHES, MAX_FLOW_DURATION_S, TURNS, ClusteredProfile,
                              FlowDataset, IntersectionSpec, Lane, Movement, Phase,
                              UniformProfile, Vehicle)
-from trafficlab.env import Transition
+from trafficlab.env import ACTION_MODES, VARIANTS, Transition
+from trafficlab.harness import ExperimentConfig
 
 FUZZ_SETTINGS = settings(max_examples=150, deadline=2000, derandomize=True, database=None)
 
@@ -233,3 +241,83 @@ def test_a_record_built_from_odd_fields_holds_its_invariants_or_names_the_field(
         assert re.match(rf"({'|'.join(names)})\b", str(outcome)), (cls.__name__, outcome)
     else:
         assert INVARIANTS[cls](outcome), outcome
+
+
+UNIFORM = "uniform(rate_per_lane=0.05,n_lanes=4)"
+CONFIG = {
+    "intersection": "spec.json", "flows": ["flow.json"],
+    "flow_profiles": [{"profile": UNIFORM, "seed": 1, "duration": 300, "label": "u"}],
+    "holdout_index": -1, "variant": "wad", "action_mode": "acyclic", "process": "smdp",
+    "dqn": {"batch_size": 8, "lr": 1e-3}, "sotl": {"threshold": 10.0, "min_green": 5},
+    "horizon": 120, "eval_every": 1, "total_epochs": 0, "seed": 0, "out_dir": "run",
+    "controllers": ["fixed", "dqn:best.npz"], "repeats": 1,
+}
+# Where a value is swapped or dropped, as a path into CONFIG, and the objects
+# that an unknown key is put into.
+SWAP_AT = [(key,) for key in CONFIG] + [
+    ("flows", 0), ("controllers", 1), ("flow_profiles", 0), ("dqn", "batch_size"), ("dqn", "lr"),
+    ("sotl", "min_green")] + [("flow_profiles", 0, key) for key in CONFIG["flow_profiles"][0]]
+UNKNOWN_AT = [(), ("dqn",), ("sotl",), ("flow_profiles", 0)]
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-10 ** 30, 10 ** 30), st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, 10 ** 400, -10 ** 400, 2.5, -1, 0]),
+    st.text(max_size=6),
+    st.sampled_from(["flow.json", "fixed", "wad", "cyclic", "mdp", "bogus", UNIFORM, "dqn:"]),
+    st.lists(st.integers(-2, 3) | st.text(max_size=3), max_size=2),
+    st.dictionaries(st.sampled_from(["seed", "lr", "profile", "x"]), st.integers(-2, 3),
+                    max_size=2))
+
+
+@st.composite
+def config_documents(draw):
+    """(a mutated CONFIG, the field a refusal must name)."""
+    doc = copy.deepcopy(CONFIG)
+    kind = draw(st.sampled_from(["swap", "drop", "unknown"]))
+    path = draw(st.sampled_from(UNKNOWN_AT if kind == "unknown" else SWAP_AT))
+    if kind == "unknown":
+        functools.reduce(operator.getitem, path, doc)["zz_unknown"] = draw(JSON_VALUES)
+        return doc, path[0] if path else "zz_unknown"
+    parent = functools.reduce(operator.getitem, path[:-1], doc)
+    if kind == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(JSON_VALUES)
+    return doc, path[0]
+
+
+def holds_its_kinds(config: ExperimentConfig, doc: dict) -> bool:
+    """Every field of a loaded config is of its documented kind, as written."""
+    counts = {"eval_every": 1, "total_epochs": 0, "repeats": 1, "holdout_index": -math.inf,
+              "seed": -math.inf}
+    return (isinstance(doc["intersection"], str) and isinstance(config.out_dir, str)
+            and isinstance(doc.get("flows", []), list)
+            and all(isinstance(f, str) for f in doc.get("flows", []))
+            and config.variant in VARIANTS and config.action_mode in ACTION_MODES
+            and config.process in ("mdp", "smdp")
+            and all(is_integer(getattr(config, name), low) for name, low in counts.items())
+            and (config.horizon is None or is_integer(config.horizon, 1, MAX_FLOW_DURATION_S))
+            and INVARIANTS[DQNConfig](DQNConfig(**config.dqn))
+            and INVARIANTS[SotlParams](SotlParams(**config.sotl))
+            and len(harness._read_flow_profiles(config.flow_profiles))
+            == len(doc.get("flow_profiles", []))
+            and all(c in CONTROLLER_NAMES or c.startswith("dqn:") and len(c) > 4
+                    for c in config.controllers))
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("config") / "config.json"
+
+
+@settings(max_examples=300, deadline=500, derandomize=True, database=None)
+@given(drawn=config_documents())
+def test_a_mutated_config_loads_with_its_fields_of_their_kinds_or_is_refused_by_name(
+        config_path, drawn):
+    doc, field_name = drawn
+    config_path.write_text(json.dumps(doc))
+    try:
+        config = ExperimentConfig.from_file(config_path)
+    except ValueError as exc:
+        assert field_name in str(exc), (doc, exc)
+        return
+    assert holds_its_kinds(config, doc), doc

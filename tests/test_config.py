@@ -242,3 +242,44 @@ def test_a_flow_profile_label_that_is_not_a_string_is_refused(tmp_path, two_phas
     entry = {**profile_entry(), "label": label}
     with pytest.raises(ValueError, match=r"^flow_profiles\[1\]\.label must be a string, got "):
         write_config(tmp_path, two_phase_spec, flow_profiles=[profile_entry(), entry])
+
+
+@pytest.mark.parametrize("field, value, message", [
+    # a string used to be read one character at a time: train then failed with
+    # FileNotFoundError on the flow 'f'
+    ("flows", "f1.json", r"flows must be a list of flow document paths, got 'f1.json'"),
+    ("flows", ["flow.json", 5], r"flows must be a list of flow document paths"),
+    # a bare TypeError inside from_file before
+    ("intersection", 5, r"intersection must be a path string, got 5"),
+    # loaded, then train ended in a bare TypeError
+    ("out_dir", 7, r"out_dir must be a path string, got 7"),
+    # loaded, and failed only after the flows were built, naming no field
+    ("variant", "bogus", r"variant must be one of combined, wa, wad, wads, got 'bogus'"),
+    ("action_mode", "zig", r"action_mode must be one of cyclic, acyclic, got 'zig'"),
+    # loaded, ran no update and wrote one row
+    ("total_epochs", -5, r"total_epochs must be non-negative, got -5"),
+], ids=["flows-string", "flows-entry", "intersection", "out_dir", "variant", "action_mode",
+        "total_epochs"])
+def test_a_config_field_of_the_wrong_kind_is_refused_at_load_by_name(tmp_path, two_phase_spec,
+                                                                    field, value, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        write_config(tmp_path, two_phase_spec, **{field: value})
+
+
+def test_a_config_without_an_intersection_is_refused_by_name(tmp_path):
+    # a bare TypeError from the constructor before
+    (tmp_path / "config.json").write_text(json.dumps({"flows": ["flow.json"]}))
+    with pytest.raises(ValueError, match="lacks the 'intersection' key"):
+        ExperimentConfig.from_file(tmp_path / "config.json")
+
+
+def test_a_replay_memory_above_the_cap_is_refused_before_the_first_validation(
+        tmp_path, two_phase_spec):
+    # the first transition used to end in a bare MemoryError, after the spec,
+    # the flows and the first validation
+    config = write_config(tmp_path, two_phase_spec, total_epochs=1, out_dir=str(tmp_path / "run"),
+                          dqn={"replay_capacity": 10 ** 12},
+                          flow_profiles=[{"profile": UNIFORM, "seed": 1, "duration": 300}])
+    with pytest.raises(ValueError, match=r"^replay_capacity 1000000000000 needs .* GiB"):
+        harness.run_training(config)
+    assert not (tmp_path / "run").exists()

@@ -1,16 +1,20 @@
 """Each record holds its own invariants: a record built in code is refused
 exactly as its document would be, with a ValueError naming the field. Also
-the bounds on the work one input may ask for: the replay warmup, the lane
-count of a uniform profile and the length of a flow."""
+the bounds on the work one input may ask for: the replay warmup and memory,
+the lane count of a uniform profile, the length of a flow and the size of an
+intersection."""
 
 import dataclasses
 import json
 import re
+import time
 
+import numpy as np
 import pytest
 
 from trafficlab import cli, core
 from trafficlab.agents import DQNAgent, DQNConfig
+from trafficlab.env import Transition
 from trafficlab.core import (MAX_FLOW_DURATION_S, MAX_FLOW_VEHICLES, ClusteredProfile,
                              FlowDataset, Movement, Phase, UniformProfile, Vehicle)
 from trafficlab.harness import ExperimentConfig
@@ -152,3 +156,76 @@ def test_a_config_asking_for_a_longer_run_than_the_cap_is_refused_by_name(doc, m
 def test_a_config_block_its_record_refuses_is_refused_at_load_by_path(doc, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         ExperimentConfig(intersection="spec.json", **doc)
+
+
+def test_a_replay_memory_above_the_byte_cap_is_refused_naming_the_capacity():
+    # the first observe used to end in "MemoryError: Unable to allocate 43.7 TiB"
+    with pytest.raises(ValueError, match=r"^replay_capacity 1000000000000 needs 6\.8e\+04 GiB "
+                                         r"of replay memory for 3 inputs, above the cap of 16 GiB"):
+        DQNAgent(3, 2, DQNConfig(replay_capacity=10 ** 12))
+
+
+def test_the_replay_cap_counts_the_bytes_the_buffer_allocates():
+    from trafficlab import agents
+    per_transition = 16 * 40 + 25
+    largest = agents.MAX_REPLAY_BYTES // per_transition
+    DQNAgent(40, 2, DQNConfig(replay_capacity=largest))  # the buffer allocates lazily
+    with pytest.raises(ValueError, match=f"^replay_capacity {largest + 1} needs"):
+        DQNAgent(40, 2, DQNConfig(replay_capacity=largest + 1))
+    agent = DQNAgent(40, 2, DQNConfig(replay_capacity=1000, batch_size=4))
+    agent.buffer.store(Transition(np.zeros(40), 0, 0.0, np.zeros(40), 1, False))
+    arrays = (agent.buffer._state_pairs, agent.buffer._actions, agent.buffer._rewards,
+              agent.buffer._durations, agent.buffer._terminals)
+    assert sum(a.nbytes for a in arrays) == 1000 * per_transition
+
+
+def lanes_document(n_lanes, phases=None):
+    """`n_lanes` lanes with one straight movement each and no conflicts."""
+    doc = {"yellow_duration": 5, "lanes": [{"length_m": 300.0, "vmax_ms": 11.0}] * n_lanes,
+           "movements": [{"lane": k, "approach": "NESW"[k % 4], "turn": "straight"}
+                         for k in range(n_lanes)],
+           "conflicts": []}
+    if phases is not None:
+        doc["phases"] = phases
+    return json.dumps(doc)
+
+
+def test_an_intersection_with_400_lanes_is_refused_at_once_by_its_movement_count(monkeypatch):
+    # 36 KB; it used to load, after enumerating 79,800 phases
+    def never(*args, **kwargs):
+        raise AssertionError("the movement count is refused before any phase is enumerated")
+    monkeypatch.setattr(core, "enumerate_phases", never)
+    text = lanes_document(400)
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^len\(movements\) must be at most 128, got 400$"):
+        core.load_intersection(text)
+    assert time.perf_counter() - started < 1.0
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param(lanes_document(8, [[0]] * 1025), r"^len\(phases\) must be at most 1024, got 1025$",
+                 id="listed-phases"),
+    # no phases listed: one per compatible movement pair, 128 * 127 / 2 of them
+    pytest.param(lanes_document(128), r"^len\(phases\) must be at most 1024, got 8128$",
+                 id="enumerated-phases"),
+])
+def test_an_intersection_with_more_phases_than_the_cap_is_refused(text, message):
+    with pytest.raises(ValueError, match=message):
+        core.load_intersection(text)
+
+
+def test_an_intersection_at_the_caps_loads():
+    phases = [[i, j] for i in range(46) for j in range(i + 1, 46)][:core.MAX_PHASES]
+    spec = core.load_intersection(lanes_document(core.MAX_MOVEMENTS, phases))
+    assert (spec.n_lanes, spec.n_phases) == (128, 1024)
+    assert len(spec.lane_phases) == 128 and len(spec.lane_green) == 1024
+
+
+def test_a_spec_built_in_code_holds_the_same_caps():
+    with pytest.raises(ValueError, match=r"^len\(phases\) must be at most 1024, got 1025$"):
+        two_phase_with(phases=tuple(Phase(k, frozenset([0])) for k in range(1025)))
+    lanes = (core.Lane(),) * 129
+    movements = tuple(Movement(k, k, "straight", "NESW"[k % 4]) for k in range(129))
+    with pytest.raises(ValueError, match=r"^len\(movements\) must be at most 128, got 129$"):
+        core.IntersectionSpec(lanes, movements, core.ConflictMatrix.from_pairs(129, []),
+                              (Phase(0, frozenset([0])),))
