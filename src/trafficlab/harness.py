@@ -100,6 +100,7 @@ class ExperimentConfig:
         config = cls(**doc)
         base = path.parent
         config.intersection = str(_resolve(base, config.intersection))
+        config.out_dir = str(_resolve(base, config.out_dir))
         config.flows = [str(_resolve(base, f)) for f in config.flows]
         config.controllers = [
             f"dqn:{_resolve(base, c[4:])}" if c.startswith("dqn:") else c
@@ -211,11 +212,19 @@ class TrainingRun:
 def run_training(config: ExperimentConfig) -> TrainingRun:
     """Train a DQN agent on the train flows, validating every eval_every epochs
     and checkpointing whenever the validation travel time improves."""
-    spec, flows = load_materials(config)
-    n = len(flows)
-    if not -n <= config.holdout_index < n:
+    # What the config alone refuses is refused before any file is read; a
+    # config with no flows is refused by `load_materials`.
+    n = len(config.flows) + len(config.flow_profiles)
+    if n and not -n <= config.holdout_index < n:
         raise ValueError(f"holdout_index {config.holdout_index} is outside [-{n}, {n}) "
                          f"for {n} flows")
+    total_updates = config.total_epochs * UPDATES_PER_EPOCH
+    dqn_config = DQNConfig(**{"seed": config.seed, **config.dqn})
+    if "eps_decay_steps" not in config.dqn:
+        dqn_config = replace(dqn_config,
+                             eps_decay_steps=max(1, (dqn_config.warmup + total_updates) // 2))
+
+    spec, flows = load_materials(config)
     holdout = config.holdout_index % n
     val_flow, _ = core.split_halves(flows[holdout])
     # The other flows train; a single flow (a smoke setup) trains on itself.
@@ -223,12 +232,6 @@ def run_training(config: ExperimentConfig) -> TrainingRun:
 
     space = ActionSpace(config.action_mode, spec.n_phases)
     in_dim = observation_dim(config.variant, spec.n_lanes, spec.n_phases)
-    total_updates = config.total_epochs * UPDATES_PER_EPOCH
-
-    dqn_config = DQNConfig(**{"seed": config.seed, **config.dqn})
-    if "eps_decay_steps" not in config.dqn:
-        dqn_config = replace(dqn_config,
-                             eps_decay_steps=max(1, (dqn_config.warmup + total_updates) // 2))
     agent = DQNAgent(in_dim, space.size, dqn_config)
 
     meta = {
@@ -301,34 +304,24 @@ def compare(config: ExperimentConfig):
     """
     spec, flows = load_materials(config)
     sotl = SotlParams(**config.sotl)
-    repeats = max(1, config.repeats)
     halves = [(flow.label or f"flow{k}", core.split_halves(flow))
               for k, flow in enumerate(flows)]
-    # A greedy DQN holds no episode state, so each checkpoint loads once, and
-    # all of them before the first episode, so one that does not fit fails early.
-    greedy = {name: _build_policy(name, spec, sotl, config)
-              for name in config.controllers if name.startswith("dqn:")}
+    # Each policy is built once, before the first episode, so a checkpoint that
+    # does not fit fails early; `evaluate` resets it before each episode. Only
+    # the random controller is stochastic, so only it gets `repeats` seeds.
+    policies = {name: [_build_policy(name, spec, sotl, config, seed_offset=r)
+                       for r in range(config.repeats if name == "random" else 1)]
+                for name in config.controllers}
     rows = []
     for name in config.controllers:
         for label, (val, test) in halves:
             for split, part in (("val", val), ("test", test)):
-                # Only the random controller is stochastic, so only it runs
-                # `repeats` times, its seed offset per repeat, and reports the
-                # mean; repeats that all agree report that value bit-exactly.
-                tts = []
-                for r in range(repeats if name == "random" else 1):
-                    policy = (greedy.get(name)
-                              or _build_policy(name, spec, sotl, config, seed_offset=r))
-                    tts.append(evaluate(policy, spec, part, horizon=config.horizon))
+                # Repeats that all agree report their value bit-exactly.
+                tts = [evaluate(policy, spec, part, horizon=config.horizon)
+                       for policy in policies[name]]
                 mean_tt = tts[0] if len(set(tts)) == 1 else sum(tts) / len(tts)
-                rows.append(
-                    {
-                        "controller": name,
-                        "flow": label,
-                        "split": split,
-                        "avg_travel_time_s": mean_tt,
-                    }
-                )
+                rows.append({"controller": name, "flow": label, "split": split,
+                             "avg_travel_time_s": mean_tt})
     return rows
 
 

@@ -51,6 +51,46 @@ def test_last_flow_holdout_still_works(tmp_path, two_phase_spec):
     assert len(harness.run_training(config).rows) == 1
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"holdout_index": 5}, r"^holdout_index 5 is outside \[-2, 2\) for 2 flows"),
+    ({"seed": -1}, r"^seed must be non-negative, got -1"),
+], ids=["holdout_index", "seed"])
+def test_a_config_only_refusal_reads_no_file(tmp_path, two_phase_spec, monkeypatch, doc,
+                                             message):
+    # each of these used to load the spec and generate both flows first
+    config = write_config(tmp_path, two_phase_spec, total_epochs=0,
+                          out_dir=str(tmp_path / "run"), **doc, flow_profiles=[
+                              {"profile": UNIFORM, "seed": s, "duration": 300} for s in (1, 2)])
+    calls = []
+    for name in ("generate_flow", "load_intersection"):
+        monkeypatch.setattr(core, name, lambda *args, name=name, **kw: calls.append(name))
+    with pytest.raises(ValueError, match=message):
+        harness.run_training(config)
+    assert calls == []
+    assert not (tmp_path / "run").exists()
+
+
+def test_no_flows_is_refused_as_such_whatever_the_holdout_index(tmp_path, two_phase_spec):
+    config = write_config(tmp_path, two_phase_spec, holdout_index=3, total_epochs=0,
+                          out_dir=str(tmp_path / "run"))
+    with pytest.raises(ValueError, match="^config names no flows$"):
+        harness.run_training(config)
+
+
+def test_out_dir_is_relative_to_the_config(tmp_path, two_phase_spec, monkeypatch):
+    # it used to be relative to the working directory, unlike the other paths
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "elsewhere").mkdir()
+    config = write_config(tmp_path / "sub", two_phase_spec, out_dir="run", total_epochs=0,
+                          flow_profiles=[{"profile": UNIFORM, "seed": 1, "duration": 300}])
+    assert write_config(tmp_path / "sub", two_phase_spec).out_dir == str(
+        tmp_path / "sub" / "runs" / "experiment")
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    harness.run_training(config)
+    assert (tmp_path / "sub" / "run" / "metrics.csv").exists()
+    assert list((tmp_path / "elsewhere").iterdir()) == []
+
+
 def test_checkpoint_controller_path_is_relative_to_the_config(tmp_path, two_phase_spec):
     agent = DQNAgent(observation_dim("wad", 4, 2), 2, DQNConfig(seed=0))
     (tmp_path / "ckpt").mkdir()

@@ -409,6 +409,52 @@ def test_compare_repeats_only_the_random_controller(tmp_path, two_phase_spec, mo
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
+def test_compare_builds_each_policy_once_before_the_first_episode(tmp_path, two_phase_spec,
+                                                                  monkeypatch):
+    checkpoint = seeded_checkpoint(tmp_path, two_phase_spec)
+    controllers = ["fixed", "random", "sotl1", "sotl2", f"dqn:{checkpoint}"]
+    config = ExperimentConfig.from_file(
+        write_toy_config(tmp_path, controllers=controllers, repeats=3))
+    config.flow_profiles = config.flow_profiles[:2]
+    events = []
+    build, evaluate = harness._build_policy, harness.evaluate
+
+    def counting_build(name, *args, **kwargs):
+        events.append(("build", name))
+        return build(name, *args, **kwargs)
+
+    def counting_evaluate(*args, **kwargs):
+        events.append(("episode", None))
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "_build_policy", counting_build)
+    monkeypatch.setattr(harness, "evaluate", counting_evaluate)
+    harness.compare(config)
+    builds = [name for kind, name in events if kind == "build"]
+    # it used to build one policy per episode: 3 repeats of random, 1 of the others
+    assert builds == ["fixed", "random", "random", "random", "sotl1", "sotl2",
+                      f"dqn:{checkpoint}"]
+    assert events[:len(builds)] == [("build", name) for name in builds]
+    assert len(events) == len(builds) + (3 + 4) * 2 * 2
+
+
+@pytest.mark.parametrize("name", ["fixed", "random", "sotl1", "sotl2", "dqn"])
+def test_a_reused_policy_matches_a_fresh_one(tmp_path, two_phase_spec, toy_flows, name):
+    # compare reuses one policy for every episode, relying on `reset()`
+    checkpoint = seeded_checkpoint(tmp_path, two_phase_spec)
+
+    def fresh():
+        if name == "dqn":
+            agent, meta = load_checkpoint(checkpoint)
+            return GreedyController(agent, two_phase_spec, meta)
+        return make_controller(name, two_phase_spec, SotlParams(), seed=3)
+
+    flows = [toy_flows[0], toy_flows[1], toy_flows[0]]
+    reused = fresh()
+    assert ([harness.evaluate(reused, two_phase_spec, flow) for flow in flows]
+            == [harness.evaluate(fresh(), two_phase_spec, flow) for flow in flows])
+
+
 def test_compare_splits_each_flow_once(tmp_path, monkeypatch):
     controllers = ["fixed", "random", "sotl1", "sotl2"]
     config = ExperimentConfig.from_file(
