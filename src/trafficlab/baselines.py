@@ -35,15 +35,14 @@ class SotlParams:
 
 
 class FixedTimeController:
-    def __init__(self, spec: IntersectionSpec, green_seconds: int = 20):
+    def __init__(self, spec: IntersectionSpec):
         self.n_phases = spec.n_phases
-        self.green_seconds = green_seconds
 
     def reset(self) -> None:
         pass
 
     def decide(self, state: SimState) -> int:
-        return fixed_policy(state.clock, self.n_phases, self.green_seconds)
+        return fixed_policy(state.clock, self.n_phases)
 
 
 class RandomController:

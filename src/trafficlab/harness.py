@@ -59,7 +59,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for key, record in (("dqn", DQNConfig), ("sotl", SotlParams)):
-            core.reject_unknown_keys(key, getattr(self, key), [f.name for f in fields(record)])
+            # The top-level `seed` is the run's one seed, so `dqn` has no `seed` key.
+            core.reject_unknown_keys(key, getattr(self, key),
+                                     [f.name for f in fields(record) if f.name != "seed"])
             try:
                 record(**getattr(self, key))
             except ValueError as exc:  # the record names the field
@@ -87,6 +89,9 @@ class ExperimentConfig:
                     isinstance(name, str) and name.startswith("dqn:") and len(name) > 4):
                 raise ValueError(f"unknown controllers entry {name!r}; accepted: "
                                  f"{', '.join(CONTROLLER_NAMES)} or dqn:<checkpoint path>")
+            if self.controllers.count(name) > 1:  # compare's rows could not be told apart
+                raise ValueError(f"repeated controllers entry {name!r}; name each of "
+                                 f"{', '.join(CONTROLLER_NAMES)} or dqn:<checkpoint path> once")
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -219,7 +224,7 @@ def run_training(config: ExperimentConfig) -> TrainingRun:
         raise ValueError(f"holdout_index {config.holdout_index} is outside [-{n}, {n}) "
                          f"for {n} flows")
     total_updates = config.total_epochs * UPDATES_PER_EPOCH
-    dqn_config = DQNConfig(**{"seed": config.seed, **config.dqn})
+    dqn_config = DQNConfig(**config.dqn, seed=config.seed)
     if "eps_decay_steps" not in config.dqn:
         dqn_config = replace(dqn_config,
                              eps_decay_steps=max(1, (dqn_config.warmup + total_updates) // 2))

@@ -18,6 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 HIDDEN = (64, 64)
+# Adam's moment decay rates and denominator floor.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 class Workspace:
@@ -175,12 +177,8 @@ def loss_and_grads(net: QNetwork, states, actions, targets):
 class Adam:
     """Adam optimizer state for one QNetwork; moments are flat like `net.flat`."""
 
-    def __init__(self, net: QNetwork, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, net: QNetwork, lr: float = 1e-3):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = np.zeros_like(net.flat)
         self.v = np.zeros_like(net.flat)
@@ -197,24 +195,24 @@ class Adam:
             raise ValueError("gradients must be the views into one flat vector "
                              "that loss_and_grads returns")
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
+        c1 = 1.0 - BETA1 ** self.t
+        c2 = 1.0 - BETA2 ** self.t
         m, v, step, scale = self.m, self.v, self._step, self._scale
         # In place, with the elementwise ops and their order of
-        # m += (1 - beta1) * (g - m); v += (1 - beta2) * (g * g - v);
-        # p -= lr * (m / c1) / (sqrt(v / c2) + eps), so results are bit-identical.
+        # m += (1 - BETA1) * (g - m); v += (1 - BETA2) * (g * g - v);
+        # p -= lr * (m / c1) / (sqrt(v / c2) + EPS), so results are bit-identical.
         np.subtract(g, m, out=step)
-        step *= 1.0 - self.beta1
+        step *= 1.0 - BETA1
         m += step
         np.multiply(g, g, out=step)
         step -= v
-        step *= 1.0 - self.beta2
+        step *= 1.0 - BETA2
         v += step
         np.divide(m, c1, out=step)
         step *= self.lr
         np.divide(v, c2, out=scale)
         np.sqrt(scale, out=scale)
-        scale += self.eps
+        scale += EPS
         step /= scale
         net.flat -= step
 

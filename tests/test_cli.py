@@ -5,6 +5,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from test_harness import reference_sweep_rows
 
@@ -109,6 +110,28 @@ def test_eval_test_split(workspace):
     checkpoint = workspace / "run" / "best.npz"
     assert run_cli(["eval", "--checkpoint", str(checkpoint),
                     "--flow", str(workspace / "holdout.json"), "--split", "test"]) == 0
+
+
+def train_best(workspace, name, argv=(), **changes):
+    """Train the workspace config with `changes` applied into the run directory
+    `name`, and return the path of its `best.npz`."""
+    doc = {**json.loads((workspace / "config.json").read_text()), **changes}
+    (workspace / f"{name}.json").write_text(json.dumps(doc))
+    assert run_cli(["train", "--config", str(workspace / f"{name}.json"),
+                    "--out", str(workspace / name), *argv]) == 0
+    return workspace / name / "best.npz"
+
+
+def test_train_seed_flag_seeds_the_network(workspace):
+    with np.load(train_best(workspace, "five", ["--seed", "5"])) as five, \
+            np.load(train_best(workspace, "nine", ["--seed", "9"])) as nine:
+        assert not np.array_equal(five["net"], nine["net"])
+
+
+def test_train_seed_flag_is_the_config_seed(workspace):
+    five = train_best(workspace, "five", ["--seed", "5"])
+    assert load_checkpoint(five)[0].config.seed == 5
+    assert train_best(workspace, "config5", seed=5).read_bytes() == five.read_bytes()
 
 
 def test_compare_csv_contract(workspace):

@@ -114,6 +114,14 @@ def test_unknown_dqn_key_is_rejected_by_name(tmp_path, two_phase_spec):
         write_config(tmp_path, two_phase_spec, dqn={"batchsize": 64, "lr_decay": 0.5, "lr": 1e-3})
 
 
+def test_dqn_seed_is_rejected_by_name(tmp_path, two_phase_spec):
+    # The top-level `seed` is the one run seed, which `train --seed` sets.
+    with pytest.raises(ValueError, match=r"^unknown dqn key\(s\) 'seed'; accepted keys: gamma, lr, "
+                                         r"batch_size, tau, eps_start, eps_end, eps_decay_steps, "
+                                         r"replay_capacity$"):
+        write_config(tmp_path, two_phase_spec, dqn={"seed": 3})
+
+
 def test_unknown_sotl_key_is_rejected_by_name(tmp_path, two_phase_spec):
     with pytest.raises(ValueError, match=r"unknown sotl key\(s\) 'treshold'; "
                                          r"accepted keys: threshold, "):
@@ -126,7 +134,8 @@ def test_config_that_is_not_an_object_is_rejected(tmp_path):
         ExperimentConfig.from_file(tmp_path / "config.json")
 
 
-@pytest.mark.parametrize("bad", ["sotl3", "dqn:", "DQN:ckpt.npz", "Fixed", "", 3])
+@pytest.mark.parametrize("bad", ["sotl3", "dqn:", "DQN:ckpt.npz", "Fixed", "", 3,
+                                 pytest.param("fixed", id="repeated")])
 def test_unknown_controller_is_refused_before_any_episode(tmp_path, two_phase_spec,
                                                           monkeypatch, bad):
     calls = []
