@@ -159,9 +159,7 @@ def cmd_sweep(args) -> int:
     from . import harness
 
     rows = harness.qvalue_sweep(args.checkpoint, args.grid_max, args.lanes)
-    harness.write_csv(
-        args.out, ("n1", "n2", "q_keep", "q_switch", "q_switch_minus_q_keep"), rows
-    )
+    harness.write_csv(args.out, harness.SWEEP_COLUMNS, rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 

@@ -193,8 +193,16 @@ class IntersectionSpec:
             raise ValueError("conflict matrix size does not match movements")
         movement_lane = [m.in_lane for m in self.movements]
         lane_ids = range(len(self.lanes))
-        if sorted(movement_lane) != list(lane_ids):
-            raise ValueError("each lane must carry exactly one movement")
+        carried = [[] for _ in lane_ids]
+        for k, lane in enumerate(movement_lane):
+            if lane not in lane_ids:
+                raise ValueError(f"movements[{k}].lane is {lane}, which the intersection "
+                                 f"lacks (0..{len(self.lanes) - 1})")
+            carried[lane].append(k)
+        for j, ks in enumerate(carried):
+            if len(ks) != 1:
+                raise ValueError(f"lane {j} carries movements {ks}; each lane must carry "
+                                 "exactly one movement")
         for k, m in enumerate(self.movements):
             if m.id != k:
                 raise ValueError("movement ids must be dense 0..J-1")
@@ -331,13 +339,15 @@ def load_intersection(spec_text: str) -> IntersectionSpec:
     optional phases ([[movement ids], ...]).
 
     The reader checks the document's shape: a key outside these (at the top
-    level, in a lane or in a movement), an array or an object that is not
-    one, more movements, lanes or phases than MAX_MOVEMENTS and MAX_PHASES
-    allow, a value that is not an integer where one goes, an empty phase and a
-    phase member that is not a movement of the document. The records check
-    the rest (see Lane, Movement, Phase and IntersectionSpec). Either way a
+    level, in a lane or in a movement) or a lane or movement lacking one, an
+    array or an object that is not one, more movements, lanes or phases than
+    MAX_MOVEMENTS and MAX_PHASES allow, a value that is not an integer where
+    one goes, a conflict pair of one movement, an empty phase and a phase
+    member that is not a movement of the document. The records check the
+    rest (see Lane, Movement, Phase and IntersectionSpec). Either way a
     refusal is a ValueError naming the path, such as `movements[1].lane` or
-    `phases[0][1]`.
+    `phases[0][1]`; only a conflict pair outside the movements is named by
+    its ids.
     """
     try:
         doc = json.loads(spec_text)
@@ -353,6 +363,9 @@ def load_intersection(spec_text: str) -> IntersectionSpec:
     for key, accepted in (("lanes", LANE_KEYS), ("movements", MOVEMENT_KEYS)):
         for k, item in enumerate(doc.get(key, [])):
             reject_unknown_keys(f"{key}[{k}]", item, accepted)
+            for name in accepted:
+                if name not in item:
+                    raise ValueError(f"{key}[{k}] lacks {name!r}")
     lanes, movements = [], []
     try:
         yellow = doc["yellow_duration"]
@@ -380,6 +393,8 @@ def load_intersection(spec_text: str) -> IntersectionSpec:
                 if size is None and not 0 <= i < len(movements):
                     raise ValueError(f"{key}[{k}][{m}] is movement {i}, which the "
                                      f"intersection lacks (0..{len(movements) - 1})")
+            if size and ids[0] == ids[1]:
+                raise ValueError(f"{key}[{k}] pairs movement {ids[0]} with itself")
     if "conflicts" in doc:
         matrix = ConflictMatrix.from_pairs(len(movements), doc["conflicts"])
     else:
@@ -575,7 +590,8 @@ def split_halves(dataset: FlowDataset) -> tuple[FlowDataset, FlowDataset]:
     """Cut one flow into its first and second time halves (second shifted to 0)."""
     half = dataset.duration // 2
     if half < 1:
-        raise ValueError("dataset too short to split into halves")
+        raise ValueError(f"flow {dataset.label!r} lasts {dataset.duration} s, too short to "
+                         "split into halves of at least 1 s")
     first = tuple(v for v in dataset.vehicles if v.spawn_time < half)
     second = tuple(
         Vehicle(v.id, v.spawn_time - half, v.movement_id, v.body_length)

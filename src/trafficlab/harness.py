@@ -17,8 +17,8 @@ from .agents import (DQNAgent, DQNConfig, GreedyController, checkpoint_spec, loa
                      save_checkpoint)
 from .baselines import CONTROLLER_NAMES, SotlParams, make_controller
 from .core import FlowDataset, IntersectionSpec
-from .env import (ACTION_MODES, VARIANTS, ActionSpace, TrafficEnv, lane_capacity,
-                  observation_dim, reward)
+from .env import (ACTION_MODES, VARIANTS, ActionSpace, TrafficEnv, decode_action,
+                  observation_dim, observe, reward)
 
 # Figure-of-merit bookkeeping runs on weight updates; one epoch is 900 updates.
 UPDATES_PER_EPOCH = 900
@@ -33,6 +33,8 @@ METRICS_COLUMNS = (
 )
 
 COMPARE_COLUMNS = ("controller", "flow", "split", "avg_travel_time_s")
+
+SWEEP_COLUMNS = ("n1", "n2", "q_keep", "q_switch", "q_switch_minus_q_keep")
 
 # Keys of one `flow_profiles` entry; all but `label` are required.
 FLOW_PROFILE_KEYS = ("profile", "seed", "duration", "label")
@@ -344,22 +346,22 @@ def _build_policy(name: str, spec: IntersectionSpec, sotl: SotlParams,
 def qvalue_sweep(checkpoint_path, grid_max: int, lane_pair=None):
     """Q(keep) vs Q(switch) over artificial two-lane queue states.
 
-    For every (n1, n2) in [0, grid_max]^2, build the observation with n1
-    vehicles waiting on the first lane of the held phase and n2 on the
-    opposing phase's lane, everything else empty, and report the action-value
-    gap between switching and keeping. `lane_pair` is (held lane, opposing
-    lane); a pair that does not fit the spec is refused with a `ValueError`.
+    The checkpoint is read as `eval` reads it: its `GreedyController` refuses
+    a meta or a network that does not fit the stored spec. For every (n1, n2)
+    in [0, grid_max]^2 the state is an empty network holding the phase that
+    serves the first lane, with n1 vehicles standing on that lane and n2 on
+    the opposing one. `env.observe` encodes it, and the row reports the
+    values of the actions that keep the held phase and switch to the other.
+    `lane_pair` is (held lane, opposing lane); a pair that does not fit the
+    spec is refused with a `ValueError`.
     """
     if grid_max < 1:
         raise ValueError("grid_max must be at least 1")
     agent, meta = load_checkpoint(checkpoint_path)
     spec = checkpoint_spec(checkpoint_path, meta)
-    variant = meta["variant"]
-    action_mode = meta["action_mode"]
     if spec.n_phases != 2:
         raise ValueError("q-value sweep requires a two-phase checkpoint")
-    if agent.n_actions != 2:
-        raise ValueError("checkpoint action space does not match a two-phase sweep")
+    greedy = GreedyController(agent, spec, meta)
     if lane_pair is None:
         lane_pair = (min(spec.green_lanes(0)), min(spec.green_lanes(1)))
     lane_pair = tuple(lane_pair)
@@ -374,31 +376,24 @@ def qvalue_sweep(checkpoint_path, grid_max: int, lane_pair=None):
         raise ValueError(f"lanes {lane_pair}: need a lane of the spec and a lane green only "
                          "in the phase that does not serve it")
 
-    j = spec.n_lanes
-    dim = observation_dim(variant, j, spec.n_phases)
-    blocks = dim - spec.n_phases
+    action_to = {decode_action(greedy.space, a, keep_phase): a for a in range(greedy.space.size)}
+    # Each lane's queue stands from its stop line back at jam spacing, any
+    # vehicle past the lane's entry at 0 m; a cell takes the first n1 or n2.
+    ids = itertools.count()
+    queues = [[sim.VehicleState(next(ids), lane,
+                                max(0.0, spec.lanes[lane].length_m - k * sim.DEFAULT_MIN_SPACING_M),
+                                0.0, sim.WAITING, 0, core.DEFAULT_BODY_LENGTH_M)
+               for k in range(grid_max)] for lane in lane_pair]
+    no_arrivals = FlowDataset((), 1)
     rows = []
     for n1 in range(grid_max + 1):
         for n2 in range(grid_max + 1):
-            obs = np.zeros(dim)
-            for lane, n in ((lane_pair[0], n1), (lane_pair[1], n2)):
-                cap = lane_capacity(spec.lanes[lane].length_m)
-                obs[lane] = min(n / cap, 1.0)  # waiting block is first in every variant
-            obs[blocks + keep_phase] = 1.0
-            q = agent.q_values(obs)
-            if action_mode == "cyclic":
-                q_keep, q_switch = float(q[0]), float(q[1])
-            else:
-                q_keep, q_switch = float(q[keep_phase]), float(q[switch_phase])
-            rows.append(
-                {
-                    "n1": n1,
-                    "n2": n2,
-                    "q_keep": q_keep,
-                    "q_switch": q_switch,
-                    "q_switch_minus_q_keep": q_switch - q_keep,
-                }
-            )
+            state = sim.init(spec, no_arrivals)
+            state.signal.current_phase = keep_phase
+            state.lanes[lane_pair[0]], state.lanes[lane_pair[1]] = queues[0][:n1], queues[1][:n2]
+            q = agent.q_values(observe(state, greedy.variant))
+            q_keep, q_switch = float(q[action_to[keep_phase]]), float(q[action_to[switch_phase]])
+            rows.append(dict(zip(SWEEP_COLUMNS, (n1, n2, q_keep, q_switch, q_switch - q_keep))))
     return rows
 
 

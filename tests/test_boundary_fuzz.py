@@ -12,6 +12,13 @@ The config property mutates one field of a valid config document (a value of
 another type, a string in place of a list, NaN, +-inf, a bool, a huge integer,
 a missing or an unknown key) and reads it: the config either loads with every
 field of its documented kind, or is refused with a ValueError naming the field.
+
+The intersection and flow properties make one change anywhere in a valid
+document: a value swapped for one of another type, NaN, +-inf, a bool, a
+fraction, a huge integer or an out-of-range id; a key or an array entry
+dropped; an unknown key added; or a value wrapped in an array, or an array cut
+to its first entry. The document either loads to a record whose written
+document loads back equal, or is refused with a ValueError naming the path.
 """
 
 import copy
@@ -321,3 +328,104 @@ def test_a_mutated_config_loads_with_its_fields_of_their_kinds_or_is_refused_by_
         assert field_name in str(exc), (doc, exc)
         return
     assert holds_its_kinds(config, doc), doc
+
+
+# Out-of-range ids for either document: movement and lane ids past the
+# two-phase intersection's 4, negative ones, and arrays of them.
+DOC_VALUES = JSON_VALUES | st.sampled_from([-1, 4, 5, 99, 10 ** 30]) | st.lists(
+    st.integers(-2, 6) | st.sampled_from([True, 2.5, math.nan]), max_size=3)
+
+
+def json_paths(doc, prefix=()):
+    """Every path into `doc`, the document itself (`()`) first."""
+    yield prefix
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from json_paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated_documents(draw, base):
+    """(`base` with one change, the path of the change)."""
+    doc = copy.deepcopy(base)
+    paths = list(json_paths(base))
+    kind = draw(st.sampled_from(["swap", "drop", "unknown", "reshape"]))
+    if kind == "unknown":
+        path = draw(st.sampled_from([p for p in paths
+                                     if isinstance(functools.reduce(operator.getitem, p, base),
+                                                   dict)]))
+        functools.reduce(operator.getitem, path, doc)["zz_unknown"] = draw(DOC_VALUES)
+        return doc, path
+    path = draw(st.sampled_from(paths if kind == "swap" else paths[1:]))
+    parent = functools.reduce(operator.getitem, path[:-1], doc)
+    if kind == "drop":
+        del parent[path[-1]]
+        return doc, path
+    if kind == "swap":
+        value = draw(DOC_VALUES)
+    else:
+        old = parent[path[-1]]
+        value = old[:1] if isinstance(old, list) and draw(st.booleans()) else [old]
+    if not path:
+        return value, path
+    parent[path[-1]] = value
+    return doc, path
+
+
+def names_the_path(message: str, path: tuple, patterns: dict, related: dict) -> bool:
+    """Whether `message` names the top-level key of `path` (`""` for the whole
+    document) or a key that `related` lists for it, by the `patterns` of each
+    key."""
+    top = path[0] if path else ""
+    return any(re.search(patterns[key], message) for key in related.get(top, (top,)))
+
+
+INTERSECTION = core.intersection_to_document(TWO_PHASE)
+INTERSECTION_PATTERNS = {
+    "": r"^(unknown )?intersection document", "yellow_duration": r"\byellow_duration\b",
+    "lanes": r"\blanes\b|\blane \d+|\.lane\b", "movements": r"\bmovements\b",
+    "conflicts": r"\bconflicts\b", "phases": r"\bphases\b",
+}
+# A key whose change is refused where another key refers to it: a lane
+# dropped leaves a movement on a lane the intersection lacks, a movement
+# dropped leaves its lane empty or a phase serving it, and a conflict added
+# inside a phase is refused by that phase.
+INTERSECTION_RELATED = {"lanes": ("lanes", "movements"),
+                        "movements": ("movements", "lanes", "phases"),
+                        "conflicts": ("conflicts", "phases")}
+# tests/test_core.py pins this message, which names no path.
+PINNED_CONFLICT_RANGE = re.compile(r"^conflict pair \(-?\d+, -?\d+\) out of range$")
+
+
+@settings(max_examples=300, deadline=500, derandomize=True, database=None)
+@given(drawn=mutated_documents(INTERSECTION))
+def test_a_mutated_intersection_document_loads_back_equal_or_is_refused_by_path(drawn):
+    doc, path = drawn
+    try:
+        spec = core.load_intersection(json.dumps(doc))
+    except ValueError as exc:
+        assert (PINNED_CONFLICT_RANGE.match(str(exc))
+                or names_the_path(str(exc), path, INTERSECTION_PATTERNS,
+                                  INTERSECTION_RELATED)), (path, doc, exc)
+        return
+    assert core.load_intersection(json.dumps(core.intersection_to_document(spec))) == spec
+
+
+FLOW = core.flow_to_document(FlowDataset((Vehicle(0, 0, 0), Vehicle(1, 3, 2), Vehicle(2, 3, 1)),
+                                         duration=60, label="f"))
+FLOW_PATTERNS = {"": r"^(a |unknown )?flow document", "duration_s": r"\bduration_s\b",
+                 "label": r"\blabel\b", "vehicles": r"\bvehicles\b"}
+# A shorter duration is refused by the first vehicle it leaves past the end.
+FLOW_RELATED = {"duration_s": ("duration_s", "vehicles")}
+
+
+@settings(max_examples=300, deadline=500, derandomize=True, database=None)
+@given(drawn=mutated_documents(FLOW))
+def test_a_mutated_flow_document_loads_back_equal_or_is_refused_by_path(drawn):
+    doc, path = drawn
+    try:
+        flow = core.load_flow(json.dumps(doc))
+    except ValueError as exc:
+        assert names_the_path(str(exc), path, FLOW_PATTERNS, FLOW_RELATED), (path, doc, exc)
+        return
+    assert core.load_flow(json.dumps(core.flow_to_document(flow))) == flow

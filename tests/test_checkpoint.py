@@ -195,3 +195,35 @@ def test_a_stored_intersection_that_does_not_load_is_refused_by_path(tmp_path, t
     path = two_phase_checkpoint(tmp_path, two_phase_spec, dict(META, intersection=doc))
     with pytest.raises(ValueError, match=re.escape(f"checkpoint {path}: meta 'intersection'")):
         harness.qvalue_sweep(path, grid_max=2)
+
+
+@pytest.mark.parametrize("meta_change, net, message", [
+    pytest.param({"process": "nonsense"}, ("wad", 2),
+                 "checkpoint meta has unknown process 'nonsense'", id="process"),
+    pytest.param({"action_mode": "bogus", "process": "nonsense"}, ("wad", 2),
+                 "checkpoint meta has unknown process 'nonsense'", id="mode-and-process"),
+    pytest.param({"action_mode": "bogus"}, ("wad", 2), "unknown action mode 'bogus'",
+                 id="action-mode"),
+    pytest.param({"variant": "wads"}, ("wad", 2),
+                 "checkpoint network takes 14 inputs and gives 2 action values; the 'wads' "
+                 "state of a 4-lane, 2-phase intersection has 18", id="input-size"),
+    pytest.param({}, ("wad", 3),
+                 "checkpoint network takes 14 inputs and gives 3 action values; the 'wad' "
+                 "state of a 4-lane, 2-phase intersection has 14 and its acyclic action "
+                 "space 2", id="output-size"),
+])
+def test_sweep_refuses_a_checkpoint_with_the_message_eval_prints(
+        tmp_path, two_phase_spec, meta_change, net, message):
+    variant, n_actions = net
+    agent = DQNAgent(observation_dim(variant, 4, 2), n_actions, DQNConfig(seed=1))
+    path = tmp_path / "misfit.npz"
+    save_checkpoint(path, agent, dict(META, intersection=core.intersection_to_document(
+        two_phase_spec), **meta_change))
+    flow = core.generate_flow(core.UniformProfile(0.05, 4), seed=1, duration=100)
+    (tmp_path / "flow.json").write_text(json.dumps(core.flow_to_document(flow)))
+    with pytest.raises(ValueError, match="^" + re.escape(message)) as refused_by_eval:
+        cli.main(["eval", "--checkpoint", str(path), "--flow", str(tmp_path / "flow.json"),
+                  "--split", "val"])
+    with pytest.raises(ValueError) as refused_by_sweep:
+        harness.qvalue_sweep(path, grid_max=3)
+    assert str(refused_by_sweep.value) == str(refused_by_eval.value)

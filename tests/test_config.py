@@ -285,6 +285,30 @@ def test_a_two_second_flow_profile_is_the_shortest_that_compare_runs(tmp_path, t
     assert [(r["split"], r["controller"]) for r in rows] == [("val", "fixed"), ("test", "fixed")]
 
 
+def test_a_flow_document_too_short_to_split_is_refused_by_label_before_any_episode(
+        tmp_path, two_phase_spec, monkeypatch):
+    # A flow_profiles entry this short is refused at load; a flow document is
+    # read only when compare runs, and its refusal used to name no flow.
+    for name, duration in (("long.json", 60), ("blip.json", 1)):
+        (tmp_path / name).write_text(json.dumps({
+            "duration_s": duration, "label": name[:-5],
+            "vehicles": [{"id": 0, "spawn_time_s": 0, "movement": 0}]}))
+    config = write_config(tmp_path, two_phase_spec, flows=["long.json", "blip.json"])
+
+    def never(*args, **kwargs):
+        raise AssertionError("no episode may run before every flow is split")
+    monkeypatch.setattr(harness, "evaluate", never)
+    with pytest.raises(ValueError, match=r"^flow 'blip' lasts 1 s, too short to split into "
+                                         r"halves of at least 1 s$"):
+        harness.compare(config)
+
+
+def test_an_eps_end_above_eps_start_is_refused_by_name(tmp_path, two_phase_spec):
+    with pytest.raises(ValueError, match=r"^dqn\.eps_end must be at most eps_start, "
+                                         r"got 0\.5 > 0\.1$"):
+        write_config(tmp_path, two_phase_spec, dqn={"eps_start": 0.1, "eps_end": 0.5})
+
+
 @pytest.mark.parametrize("label", [0, 5, None, True, ["a"]])
 def test_a_flow_profile_label_that_is_not_a_string_is_refused(tmp_path, two_phase_spec, label):
     # 0 and null used to load, and compare named those flows flow0 and flow1

@@ -561,6 +561,21 @@ class TestLoadIntersectionRefusals:
                      id="lanes-number"),
         pytest.param(_intersection_text(movements__0=3), "movements[0] must be an object, got int",
                      id="movement-number"),
+        pytest.param(_intersection_text(conflicts=[[0, 1], [1, 1]]),
+                     "conflicts[1] pairs movement 1 with itself", id="self-conflict"),
+        pytest.param(_intersection_text(movements__1__lane=0),
+                     "lane 0 carries movements [0, 1]; each lane must carry exactly one "
+                     "movement", id="shared-lane"),
+        pytest.param(_intersection_text(lanes=MINIMAL_DOC["lanes"] * 2),
+                     "lane 2 carries movements []; each lane must carry exactly one "
+                     "movement", id="lane-without-movement"),
+        pytest.param(_intersection_text(movements__1__lane=5),
+                     "movements[1].lane is 5, which the intersection lacks (0..1)",
+                     id="lane-out-of-range"),
+        pytest.param(_intersection_text(movements__1={"lane": 1, "turn": "straight"}),
+                     "movements[1] lacks 'approach'", id="movement-field-missing"),
+        pytest.param(_intersection_text(lanes__0={"length_m": 300.0}),
+                     "lanes[0] lacks 'vmax_ms'", id="lane-field-missing"),
     ])
     def test_names_the_path(self, text, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -67,3 +67,9 @@ def test_a_bad_profile_fails_before_any_file_is_written(tmp_path, profile, messa
     with pytest.raises(ValueError, match=message):
         genflow(tmp_path / "flow.json", profile, seed=1, duration=60)
     assert not (tmp_path / "flow.json").exists()
+
+
+def test_a_profile_without_parameters_is_refused_by_its_text(tmp_path):
+    with pytest.raises(ValueError, match=r"^malformed profile 'uniform'$"):
+        genflow(tmp_path / "flow.json", "uniform", seed=1, duration=60)
+    assert not (tmp_path / "flow.json").exists()

@@ -98,6 +98,15 @@ class TestRunTraining:
         assert epochs == sorted(epochs)
         assert updates[-1] == 1800
 
+    def test_a_last_epoch_off_the_validation_stride_is_validated(self, tmp_path):
+        # One epoch at eval_every 2: the stride's validation never comes, so the
+        # run validates once more when its updates run out.
+        config = ExperimentConfig.from_file(write_toy_config(
+            tmp_path, total_epochs=1, eval_every=2, dqn={"batch_size": 8}))
+        result = harness.run_training(config)
+        assert [row["weight_updates"] for row in result.rows] == [0, UPDATES_PER_EPOCH]
+        assert len(read_csv(result.metrics_path)) == 3
+
 
 class TestEvaluate:
     def test_empty_flow_is_an_error(self, two_phase_spec):
