@@ -165,6 +165,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_genflow(args) -> int:
+    # The bound of a `flow_profiles` entry: compare and eval cut a flow into
+    # halves of at least 1 s.
+    core.require_integer("duration", args.duration, 2, core.MAX_FLOW_DURATION_S)
     profile = core.parse_profile(args.profile)
     flow = core.generate_flow(profile, seed=args.seed, duration=args.duration,
                               label=Path(args.out).stem)

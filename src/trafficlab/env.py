@@ -136,6 +136,9 @@ class TrafficEnv:
         self.action_space = ActionSpace(action_mode, spec.n_phases)
         self.gamma = gamma
         self.horizon = flow.duration if horizon is None else horizon
+        if self.horizon < 1:  # an episode that is over at its reset has no step to take
+            raise ValueError(f"flow {flow.label!r}: the episode horizon must be at least 1 s, "
+                             f"got {self.horizon}")
         self.state: SimState | None = None
         self.raw_return = 0.0  # undiscounted per-tick reward sum this episode
         self._observation: np.ndarray | None = None  # last returned; the next step's state

@@ -156,14 +156,17 @@ def _resolve(base: Path, p: str) -> Path:
 
 
 def load_materials(config: ExperimentConfig):
-    """Resolve the intersection and flow set named by a config, refusing any
-    flow that does not fit the intersection before an episode runs."""
+    """Resolve the intersection and flow set named by a config, naming an
+    unlabeled flow `flow<k>` by its index, and refusing any flow that does not
+    fit the intersection before an episode runs."""
     spec = core.load_intersection(Path(config.intersection).read_text(encoding="utf-8"))
     flows = [core.load_flow(Path(f).read_text(encoding="utf-8")) for f in config.flows]
     flows += [core.generate_flow(**args) for args in _read_flow_profiles(config.flow_profiles)]
     if not flows:
         raise ValueError("config names no flows")
-    labels = [flow.label or f"flow{k}" for k, flow in enumerate(flows)]  # as compare names them
+    flows = [flow if flow.label else replace(flow, label=f"flow{k}")
+             for k, flow in enumerate(flows)]
+    labels = [flow.label for flow in flows]
     for label in labels:
         if labels.count(label) > 1:
             raise ValueError(f"duplicate flow label {label!r}; give each flow its own label")
@@ -202,104 +205,102 @@ def greedy_rollout(policy, spec: IntersectionSpec, flow: FlowDataset,
     return tt, sum(rewards, 0.0)
 
 
-@dataclass
 class TrainingRun:
-    """A training run's state between transitions, and its result at the end:
-    the validation rows so far and their best travel time, the train env being
-    stepped, and the update count of the next validation."""
+    """One training run, built from its config: the agent, the train envs, the
+    greedy controller and the validation flow. `run_training` builds one,
+    validates it and trains it, and returns it as the result."""
 
-    metrics_path: str
-    best_checkpoint: str
-    next_eval: int
-    rows: list = field(default_factory=list)
-    best_val_travel_time: float = float("inf")
-    env_index: int = 0
+    def __init__(self, config: ExperimentConfig):
+        # What the config alone refuses is refused before any file is read; a
+        # config with no flows is refused by `load_materials`.
+        n = len(config.flows) + len(config.flow_profiles)
+        if n and not -n <= config.holdout_index < n:
+            raise ValueError(f"holdout_index {config.holdout_index} is outside [-{n}, {n}) "
+                             f"for {n} flows")
+        self.total_updates = config.total_epochs * UPDATES_PER_EPOCH
+        dqn_config = DQNConfig(**config.dqn, seed=config.seed)
+        if "eps_decay_steps" not in config.dqn:
+            decay = max(1, (dqn_config.warmup + self.total_updates) // 2)
+            dqn_config = replace(dqn_config, eps_decay_steps=decay)
 
+        spec, flows = load_materials(config)
+        holdout = config.holdout_index % n
+        val_flow, _ = core.split_halves(flows[holdout])
+        self.spec, self.val_flow, self.horizon = spec, val_flow, config.horizon
+        # The other flows train; a single flow (a smoke setup) trains on itself.
+        train_flows = [f for k, f in enumerate(flows) if k != holdout] or flows
 
-def run_training(config: ExperimentConfig) -> TrainingRun:
-    """Train a DQN agent on the train flows, validating every eval_every epochs
-    and checkpointing whenever the validation travel time improves."""
-    # What the config alone refuses is refused before any file is read; a
-    # config with no flows is refused by `load_materials`.
-    n = len(config.flows) + len(config.flow_profiles)
-    if n and not -n <= config.holdout_index < n:
-        raise ValueError(f"holdout_index {config.holdout_index} is outside [-{n}, {n}) "
-                         f"for {n} flows")
-    total_updates = config.total_epochs * UPDATES_PER_EPOCH
-    dqn_config = DQNConfig(**config.dqn, seed=config.seed)
-    if "eps_decay_steps" not in config.dqn:
-        dqn_config = replace(dqn_config,
-                             eps_decay_steps=max(1, (dqn_config.warmup + total_updates) // 2))
+        space = ActionSpace(config.action_mode, spec.n_phases)
+        in_dim = observation_dim(config.variant, spec.n_lanes, spec.n_phases)
+        self.agent = DQNAgent(in_dim, space.size, dqn_config)
+        self.meta = {"variant": config.variant, "action_mode": config.action_mode,
+                     "process": config.process,
+                     "intersection": core.intersection_to_document(spec)}
+        self.greedy = GreedyController(self.agent, spec, self.meta)
+        self.envs = [TrafficEnv(spec, f, variant=config.variant, action_mode=config.action_mode,
+                                gamma=dqn_config.gamma, horizon=config.horizon)
+                     for f in train_flows]
+        # Read from the class when the run is built, so a wrapper set on it sees every step.
+        self.step = TrafficEnv.mdp_step if config.process == "mdp" else TrafficEnv.smdp_step
+        self.eval_stride = config.eval_every * UPDATES_PER_EPOCH
+        # What a resume would store beside the agent and its replay memory.
+        self.rows, self.best_val_travel_time, self.env_index = [], float("inf"), 0
+        self.metrics_path = str(Path(config.out_dir) / "metrics.csv")
+        self.best_checkpoint = str(Path(config.out_dir) / "best.npz")
+        # Last, so that a refused run writes nothing; it makes the run directory too.
+        write_csv(self.metrics_path, METRICS_COLUMNS, [])
+        self.started = time.perf_counter()
 
-    spec, flows = load_materials(config)
-    holdout = config.holdout_index % n
-    val_flow, _ = core.split_halves(flows[holdout])
-    # The other flows train; a single flow (a smoke setup) trains on itself.
-    train_flows = [f for k, f in enumerate(flows) if k != holdout] or flows
-
-    space = ActionSpace(config.action_mode, spec.n_phases)
-    in_dim = observation_dim(config.variant, spec.n_lanes, spec.n_phases)
-    agent = DQNAgent(in_dim, space.size, dqn_config)
-
-    meta = {
-        "variant": config.variant,
-        "action_mode": config.action_mode,
-        "process": config.process,
-        "intersection": core.intersection_to_document(spec),
-    }
-    greedy = GreedyController(agent, spec, meta)
-
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    eval_stride = config.eval_every * UPDATES_PER_EPOCH
-    run = TrainingRun(metrics_path=str(out_dir / "metrics.csv"),
-                      best_checkpoint=str(out_dir / "best.npz"), next_eval=eval_stride)
-
-    envs = [
-        TrafficEnv(spec, f, variant=config.variant, action_mode=config.action_mode,
-                   gamma=dqn_config.gamma, horizon=config.horizon)
-        for f in train_flows
-    ]
-    # Read from the class when the run starts, so a wrapper set on it sees every step.
-    step = TrafficEnv.mdp_step if config.process == "mdp" else TrafficEnv.smdp_step
-    started = time.perf_counter()
-
-    def validate() -> None:
-        val_tt, val_return = greedy_rollout(greedy, spec, val_flow, config.horizon)
+    def validate(self) -> None:
+        """Run the greedy validation episode, append its row to `rows` and to
+        `metrics.csv`, and save `best.npz` if the travel time improves."""
+        agent = self.agent
+        val_tt, val_return = greedy_rollout(self.greedy, self.spec, self.val_flow, self.horizon)
         row = {
             "epoch": agent.updates_done // UPDATES_PER_EPOCH,
             "weight_updates": agent.updates_done,
             "mean_reward": val_return,
             "val_avg_travel_time_s": val_tt,
-            "wall_clock_s": time.perf_counter() - started,
+            "wall_clock_s": time.perf_counter() - self.started,
             "transitions": agent.transitions_seen,
         }
-        run.rows.append(row)
-        # Each row is flushed as it is produced, so an interrupted run keeps
-        # the validations it finished.
-        metrics.writerow([_format_cell(row[c]) for c in METRICS_COLUMNS])
-        metrics_file.flush()
-        if val_tt < run.best_val_travel_time:
-            run.best_val_travel_time = val_tt
-            save_checkpoint(run.best_checkpoint, agent, meta)
+        self.rows.append(row)
+        # Opened for this row alone: the row is on disk when the validation
+        # ends, so an interrupted run keeps the validations it finished.
+        with open(self.metrics_path, "a", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerow([_format_cell(row[c]) for c in METRICS_COLUMNS])
+        if val_tt < self.best_val_travel_time:
+            self.best_val_travel_time = val_tt
+            save_checkpoint(self.best_checkpoint, agent, self.meta)
 
-    with open(run.metrics_path, "w", newline="", encoding="utf-8") as metrics_file:
-        metrics = csv.writer(metrics_file)
-        metrics.writerow(METRICS_COLUMNS)
-        validate()
-        obs = envs[run.env_index].reset()
-        while agent.updates_done < total_updates:
-            transition = step(envs[run.env_index], agent.act(obs))
-            agent.observe(transition)
+    def train(self, until: int) -> None:
+        """Step transitions from a fresh episode of `envs[env_index]` until the
+        update count reaches `until`. A validation is due at each multiple of
+        the validation stride, and at `until`, that has no row yet."""
+        agent, envs, step, rows = self.agent, self.envs, self.step, self.rows
+        act, observe, stride = agent.act, agent.observe, self.eval_stride
+        env = envs[self.env_index]
+        obs = env.reset()
+        while agent.updates_done < until:
+            transition = step(env, act(obs))
+            observe(transition)
             obs = transition.next_state
             if transition.terminal:
-                run.env_index = (run.env_index + 1) % len(envs)
-                obs = envs[run.env_index].reset()
-            if agent.updates_done >= run.next_eval:
-                validate()
-                run.next_eval += eval_stride
-        if run.rows[-1]["weight_updates"] != agent.updates_done:
-            validate()
+                self.env_index = (self.env_index + 1) % len(envs)
+                env = envs[self.env_index]
+                obs = env.reset()
+            # The count stays 0 through the warmup; after it each transition adds one.
+            done = agent.updates_done
+            if (done % stride == 0 or done == until) and done != rows[-1]["weight_updates"]:
+                self.validate()
+
+
+def run_training(config: ExperimentConfig) -> TrainingRun:
+    """Train a DQN agent on the train flows, validating every eval_every epochs
+    and checkpointing whenever the validation travel time improves."""
+    run = TrainingRun(config)
+    run.validate()
+    run.train(run.total_updates)
     return run
 
 
@@ -311,8 +312,7 @@ def compare(config: ExperimentConfig):
     """
     spec, flows = load_materials(config)
     sotl = SotlParams(**config.sotl)
-    halves = [(flow.label or f"flow{k}", core.split_halves(flow))
-              for k, flow in enumerate(flows)]
+    halves = [(flow.label, core.split_halves(flow)) for flow in flows]
     # Each policy is built once, before the first episode, so a checkpoint that
     # does not fit fails early; `evaluate` resets it before each episode. Only
     # the random controller is stochastic, so only it gets `repeats` seeds.

@@ -19,6 +19,13 @@ fraction, a huge integer or an out-of-range id; a key or an array entry
 dropped; an unknown key added; or a value wrapped in an array, or an array cut
 to its first entry. The document either loads to a record whose written
 document loads back equal, or is refused with a ValueError naming the path.
+
+The profile-literal property drops, repeats or renames one parameter of a
+valid literal, or swaps its value (or one lane weight) for NaN, inf, -1,
+1e400, an empty string, `1:` or a number: the literal either parses to a
+profile that `check_flow_size` accepts at 60 s, as `genflow` and a
+`flow_profiles` entry read it, or is refused with a ValueError naming the
+parameter.
 """
 
 import copy
@@ -429,3 +436,48 @@ def test_a_mutated_flow_document_loads_back_equal_or_is_refused_by_path(drawn):
         assert names_the_path(str(exc), path, FLOW_PATTERNS, FLOW_RELATED), (path, doc, exc)
         return
     assert core.load_flow(json.dumps(core.flow_to_document(flow))) == flow
+
+
+PROFILE_LITERALS = (
+    "uniform(rate_per_lane=0.05,n_lanes=8)",
+    "clustered(cluster_size=5,inter_cluster_gap=60,within_gap=2,lane_weights=1:0.5:0:2)",
+)
+PROFILE_VALUES = ("nan", "inf", "-1", "1e400", "", "1:", "0", "2.5", "1e9")
+PARAMETERS = ("rate_per_lane", "n_lanes", "cluster_size", "inter_cluster_gap", "within_gap",
+              "lane_weights")
+
+
+@st.composite
+def mutated_profiles(draw):
+    """(a valid profile literal with one change, the parameter a refusal names:
+    the new name of a renamed one)."""
+    kind, _, body = draw(st.sampled_from(PROFILE_LITERALS))[:-1].partition("(")
+    params = [part.split("=") for part in body.split(",")]
+    k = draw(st.integers(0, len(params) - 1))
+    key, value = params[k]
+    change = draw(st.sampled_from(["drop", "repeat", "rename", "swap"]))
+    if change == "drop":
+        del params[k]
+    elif change == "repeat":
+        params.insert(draw(st.integers(0, len(params))),
+                      [key, draw(st.sampled_from((value,) + PROFILE_VALUES))])
+    elif change == "rename":
+        key = draw(st.sampled_from((key.upper(), key[:-1], key + "s", f" {key} ") + PARAMETERS))
+        params[k][0] = key
+    elif key == "lane_weights" and draw(st.booleans()):
+        weights = value.split(":")
+        weights[draw(st.integers(0, len(weights) - 1))] = draw(st.sampled_from(PROFILE_VALUES))
+        params[k][1] = ":".join(weights)
+    else:
+        params[k][1] = draw(st.sampled_from(PROFILE_VALUES))
+    return f"{kind}({','.join('='.join(p) for p in params)})", key.strip()
+
+
+@settings(max_examples=300, deadline=500, derandomize=True, database=None)
+@given(drawn=mutated_profiles())
+def test_a_mutated_profile_literal_parses_to_a_generable_profile_or_is_refused_by_name(drawn):
+    literal, name = drawn
+    try:
+        core.check_flow_size(core.parse_profile(literal), 60)
+    except ValueError as exc:
+        assert re.search(rf"\b{name}\b", str(exc)), (literal, exc)

@@ -303,6 +303,29 @@ def test_a_flow_document_too_short_to_split_is_refused_by_label_before_any_episo
         harness.compare(config)
 
 
+def test_an_unlabeled_flow_is_refused_by_the_name_compare_gives_it(tmp_path, two_phase_spec):
+    # `compare` names an unlabeled flow `flow<k>`; its refusal used to call it ''.
+    (tmp_path / "blip.json").write_text(json.dumps({"duration_s": 1, "vehicles": []}))
+    config = write_config(tmp_path, two_phase_spec, flows=["blip.json"], total_epochs=0,
+                          out_dir="run")
+    message = r"^flow 'flow0' lasts 1 s, too short to split into halves of at least 1 s$"
+    with pytest.raises(ValueError, match=message):
+        harness.compare(config)
+    with pytest.raises(ValueError, match=message):
+        harness.run_training(config)
+    assert not (tmp_path / "run").exists()
+
+
+def test_an_unlabeled_flow_keeps_its_name_in_compare_rows(tmp_path, two_phase_spec):
+    (tmp_path / "flow.json").write_text(json.dumps(core.flow_to_document(core.generate_flow(
+        core.parse_profile(UNIFORM), seed=1, duration=60))))
+    config = write_config(tmp_path, two_phase_spec, flows=["flow.json"], flow_profiles=[
+        {"profile": UNIFORM, "seed": 2, "duration": 60, "label": "u"}])
+    assert [flow.label for flow in harness.load_materials(config)[1]] == ["flow0", "u"]
+    assert [(r["flow"], r["split"]) for r in harness.compare(config)] == [
+        ("flow0", "val"), ("flow0", "test"), ("u", "val"), ("u", "test")]
+
+
 def test_an_eps_end_above_eps_start_is_refused_by_name(tmp_path, two_phase_spec):
     with pytest.raises(ValueError, match=r"^dqn\.eps_end must be at most eps_start, "
                                          r"got 0\.5 > 0\.1$"):

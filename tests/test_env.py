@@ -194,6 +194,19 @@ class TestMdpStep:
             e.mdp_step(0)
 
 
+def test_an_episode_horizon_below_one_second_is_refused_by_the_flow_label(two_phase_spec):
+    # Its reset gives an episode that is already over: the first step used to
+    # end in a bare RuntimeError, `cannot step a terminal episode`.
+    zero = FlowDataset((), duration=0, label="zero")
+    with pytest.raises(ValueError, match=r"^flow 'zero': the episode horizon must be at least "
+                                         r"1 s, got 0$"):
+        TrafficEnv(two_phase_spec, zero)
+    with pytest.raises(ValueError, match=r"^flow '': the episode horizon must be at least "
+                                         r"1 s, got 0$"):
+        TrafficEnv(two_phase_spec, empty_flow(100), horizon=0)
+    assert TrafficEnv(two_phase_spec, zero, horizon=1).horizon == 1
+
+
 class TestSmdpStep:
     def test_switch_undiscounted_sum(self, four_singleton_spec):
         e = waiting_fixture(four_singleton_spec, lane=2, n=2)

@@ -73,3 +73,26 @@ def test_a_profile_without_parameters_is_refused_by_its_text(tmp_path):
     with pytest.raises(ValueError, match=r"^malformed profile 'uniform'$"):
         genflow(tmp_path / "flow.json", "uniform", seed=1, duration=60)
     assert not (tmp_path / "flow.json").exists()
+
+
+@pytest.mark.parametrize("duration, message", [
+    (0, r"^duration must be at least 2, got 0$"),
+    (1, r"^duration must be at least 2, got 1$"),
+    (10 ** 6 + 1, r"^duration must be at most 1000000, got 1000001$"),
+])
+def test_a_duration_out_of_bounds_is_refused_before_any_flow_is_generated(
+        tmp_path, duration, message, monkeypatch):
+    # 0 and 1 used to write a flow of 0 vehicles that compare and eval refuse;
+    # a duration past the cap was refused only after the flow was generated.
+    def never(*args, **kwargs):
+        raise AssertionError("a bad duration must be refused before generate_flow runs")
+    monkeypatch.setattr(core, "generate_flow", never)
+    with pytest.raises(ValueError, match=message):
+        genflow(tmp_path / "flow.json", PROFILES[0], seed=1, duration=duration)
+    assert not (tmp_path / "flow.json").exists()
+
+
+def test_the_shortest_flow_genflow_writes_splits_into_halves(tmp_path):
+    path = genflow(tmp_path / "flow.json", PROFILES[0], seed=1, duration=2)
+    val, test = core.split_halves(core.load_flow(path.read_text(encoding="utf-8")))
+    assert (val.duration, test.duration) == (1, 1)

@@ -530,6 +530,29 @@ def test_metrics_rows_are_on_disk_as_validations_finish(tmp_path, monkeypatch):
     assert rows[1][:2] == ["0", "0"]
 
 
+def test_a_built_run_has_written_the_header_alone_and_each_validation_appends_a_row(tmp_path):
+    run = harness.TrainingRun(ExperimentConfig.from_file(write_toy_config(tmp_path)))
+    assert read_csv(run.metrics_path) == [list(METRICS_COLUMNS)]
+    assert not Path(run.best_checkpoint).exists()
+    for k in (1, 2):
+        run.validate()
+        assert len(run.rows) == k and len(read_csv(run.metrics_path)) == 1 + k
+    assert read_csv(run.metrics_path)[1:] == [[str(_format_cell(row[c])) for c in METRICS_COLUMNS]
+                                              for row in run.rows]
+    assert Path(run.best_checkpoint).exists()
+
+
+def test_a_zero_length_training_flow_is_refused_by_name_before_anything_is_written(tmp_path):
+    # It used to validate once, write that row and end in a bare RuntimeError
+    # from the first step of its episode. An unlabeled flow is named by index.
+    (tmp_path / "zero.json").write_text(json.dumps({"duration_s": 0, "vehicles": []}))
+    config = ExperimentConfig.from_file(write_toy_config(tmp_path, flows=["zero.json"]))
+    with pytest.raises(ValueError, match=r"^flow 'flow0': the episode horizon must be at least "
+                                         r"1 s, got 0$"):
+        harness.run_training(config)
+    assert not Path(config.out_dir).exists()
+
+
 # The training loop before its state moved into `TrainingRun`, kept as the
 # reference the new loop must match: same rows, same best.npz, same env resets.
 
