@@ -2,12 +2,15 @@
 
 `genflow` and `genspec` need only the stdlib `core`. The other commands
 import `harness`, `agents` and `sim` (and so numpy) when they run, so the
-first of them in a process pays that import.
+first of them in a process pays that import. The parser is built once per
+process, on the first `main` call, and every later call parses with it.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -16,11 +19,11 @@ from . import core
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trafficlab",
@@ -103,6 +106,8 @@ def cmd_eval(args) -> int:
     else:
         spec = checkpoint_spec(args.checkpoint, meta)
     flow = core.load_flow(Path(args.flow).read_text(encoding="utf-8"))
+    if not flow.label:  # the label genflow would have written
+        flow = dataclasses.replace(flow, label=Path(args.flow).stem)
     val, test = core.split_halves(flow)
     part = val if args.split == "val" else test
 
@@ -172,8 +177,7 @@ def cmd_genflow(args) -> int:
     flow = core.generate_flow(profile, seed=args.seed, duration=args.duration,
                               label=Path(args.out).stem)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    # Compact: with an indent, json encodes in pure Python, several times slower.
-    Path(args.out).write_text(json.dumps(core.flow_to_document(flow)), encoding="utf-8")
+    Path(args.out).write_text(core.flow_to_json(flow), encoding="utf-8")
     print(f"wrote {len(flow.vehicles)} vehicles to {args.out}")
     return 0
 

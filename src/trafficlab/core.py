@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import numbers
+import operator
 import random
 from dataclasses import dataclass, field
 
@@ -552,9 +553,11 @@ def generate_flow(profile, seed: int, duration: int, label: str = "") -> FlowDat
                 raw.append((int(t), lane))
     else:  # a ClusteredProfile, since check_flow_size refuses any other type
         lanes = list(range(len(profile.lane_weights)))
+        # What choices(weights=...) sums on every call, so the draws are the same.
+        cum_weights = list(itertools.accumulate(profile.lane_weights))
         start = 0.0
         while start < duration:
-            lane = rng.choices(lanes, weights=profile.lane_weights)[0]
+            lane = rng.choices(lanes, cum_weights=cum_weights)[0]
             # within_gap > 0, so a platoon's spawns only grow: the first one
             # at or past the duration ends it.
             for k in range(profile.cluster_size):
@@ -564,11 +567,8 @@ def generate_flow(profile, seed: int, duration: int, label: str = "") -> FlowDat
                 raw.append((spawn, lane))
             start += profile.inter_cluster_gap
 
-    raw.sort(key=lambda item: item[0])
-    vehicles = tuple(
-        Vehicle(id=k, spawn_time=spawn, movement_id=lane)
-        for k, (spawn, lane) in enumerate(raw)
-    )
+    raw.sort(key=operator.itemgetter(0))
+    vehicles = tuple([Vehicle(k, spawn, lane) for k, (spawn, lane) in enumerate(raw)])
     return FlowDataset(vehicles=vehicles, duration=duration, label=label)
 
 
@@ -655,14 +655,19 @@ def load_flow(text: str) -> FlowDataset:
     return FlowDataset(vehicles=tuple(vehicles), duration=duration, label=label)
 
 
-def flow_to_document(flow: FlowDataset) -> dict:
-    """Inverse of load_flow. The document has no body length, so a vehicle
-    whose body length is not the default is refused, naming it."""
+def _check_body_lengths(flow: FlowDataset) -> None:
+    """A flow document has no body length, so a vehicle whose body length is
+    not the default is refused, naming it."""
     for k, v in enumerate(flow.vehicles):
         if v.body_length != DEFAULT_BODY_LENGTH_M:
             raise ValueError(f"flow {flow.label!r}: vehicles[{k}] has a body length of "
                              f"{v.body_length} m; a flow document holds only the default "
                              f"{DEFAULT_BODY_LENGTH_M} m")
+
+
+def flow_to_document(flow: FlowDataset) -> dict:
+    """Inverse of load_flow; refuses a body length other than the default."""
+    _check_body_lengths(flow)
     return {
         "duration_s": flow.duration,
         "label": flow.label,
@@ -671,6 +676,16 @@ def flow_to_document(flow: FlowDataset) -> dict:
             for v in flow.vehicles
         ],
     }
+
+
+def flow_to_json(flow: FlowDataset) -> str:
+    """`json.dumps(flow_to_document(flow))`, byte for byte, with each vehicle
+    row formatted straight from its record instead of through a dict."""
+    _check_body_lengths(flow)
+    rows = ", ".join(['{"id": %d, "spawn_time_s": %d, "movement": %d}'
+                      % (v.id, v.spawn_time, v.movement_id) for v in flow.vehicles])
+    return ('{"duration_s": %d, "label": %s, "vehicles": [%s]}'
+            % (flow.duration, json.dumps(flow.label), rows))
 
 
 def _lane_weights(text: str) -> tuple[float, ...]:

@@ -20,6 +20,11 @@ import numpy as np
 HIDDEN = (64, 64)
 # Adam's moment decay rates and denominator floor.
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+# Every FLUSH_EVERY steps Adam sets the first moments below the smallest normal
+# float64 to 0. The moment of a coordinate whose gradient stays 0 (a dead ReLU
+# unit) turns subnormal after about 6,700 steps, and arithmetic on subnormals
+# is several times slower; by then it moves its parameter by less than 1e-302.
+FLUSH_EVERY = 1000
 
 
 class Workspace:
@@ -204,6 +209,8 @@ class Adam:
         np.subtract(g, m, out=step)
         step *= 1.0 - BETA1
         m += step
+        if self.t % FLUSH_EVERY == 0:
+            m[np.abs(m) < np.finfo(np.float64).tiny] = 0.0
         np.multiply(g, g, out=step)
         step -= v
         step *= 1.0 - BETA2

@@ -238,3 +238,43 @@ def test_eval_builds_its_controller_through_the_cli_attribute(workspace, sweep_c
     assert run_cli(["eval", "--checkpoint", str(sweep_checkpoint),
                     "--flow", str(workspace / "holdout.json"), "--split", "val"]) == 0
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("document, name", [
+    # The file stem, the label genflow would have written; it used to be ''.
+    ({"duration_s": 1, "vehicles": []}, "blip"),
+    ({"duration_s": 1, "label": "north", "vehicles": []}, "north"),
+])
+def test_eval_names_a_flow_by_its_label_or_else_its_file(tmp_path, sweep_checkpoint,
+                                                          document, name):
+    (tmp_path / "blip.json").write_text(json.dumps(document))
+    message = rf"^flow '{name}' lasts 1 s, too short to split into halves of at least 1 s$"
+    with pytest.raises(ValueError, match=message):
+        run_cli(["eval", "--checkpoint", str(sweep_checkpoint),
+                 "--flow", str(tmp_path / "blip.json"), "--split", "val"])
+
+
+def test_each_call_parses_only_its_own_arguments(workspace, monkeypatch):
+    # One parser serves every call in a process; no option of one call may
+    # reach the next.
+    repeats = []
+    monkeypatch.setattr(harness, "compare", lambda config: repeats.append(config.repeats) or [])
+    doc = {**json.loads((workspace / "config.json").read_text()), "repeats": 2}
+    (workspace / "repeats.json").write_text(json.dumps(doc))
+    profile = "uniform(rate_per_lane=0.02,n_lanes=4)"
+    calls = [
+        ["compare", "--config", str(workspace / "repeats.json"), "--out",
+         str(workspace / "a.csv"), "--repeats", "3"],
+        ["genflow", "--profile", profile, "--seed", "1", "--duration", "600",
+         "--out", str(workspace / "short.json")],
+        ["compare", "--config", str(workspace / "repeats.json"), "--out",
+         str(workspace / "b.csv")],
+        ["genflow", "--profile", profile, "--seed", "1", "--out", str(workspace / "long.json")],
+    ]
+    for argv in calls:
+        assert run_cli(argv) == 0
+    assert repeats == [3, 2]
+    durations = [json.loads((workspace / f"{stem}.json").read_text())["duration_s"]
+                 for stem in ("short", "long")]
+    assert durations == [600, 3600]
+    assert cli.build_parser() is cli.build_parser()

@@ -4,6 +4,8 @@ result computed from it is the same as from an indented file."""
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from trafficlab import cli, core, harness
 
@@ -96,3 +98,37 @@ def test_the_shortest_flow_genflow_writes_splits_into_halves(tmp_path):
     path = genflow(tmp_path / "flow.json", PROFILES[0], seed=1, duration=2)
     val, test = core.split_halves(core.load_flow(path.read_text(encoding="utf-8")))
     assert (val.duration, test.duration) == (1, 1)
+
+
+PROFILE_RECORDS = st.one_of(
+    st.builds(core.UniformProfile, rate_per_lane=st.floats(0, 0.2),
+              n_lanes=st.integers(1, 8)),
+    st.builds(core.ClusteredProfile, cluster_size=st.integers(1, 8),
+              inter_cluster_gap=st.floats(1, 60), within_gap=st.floats(0.5, 5),
+              lane_weights=st.lists(st.floats(0, 4), min_size=1, max_size=8)
+              .filter(lambda weights: sum(weights) > 0).map(tuple)),
+)
+
+
+@settings(max_examples=150, deadline=500, derandomize=True, database=None)
+@example(profile=core.UniformProfile(0.05, 2), seed=1, duration=60,
+         label='q"b\\s/\x00\x1f\x7f\u00e9\u2028\U0001f600')
+@given(profile=PROFILE_RECORDS, seed=st.integers(0, 2 ** 32),
+       duration=st.integers(2, 600), label=st.text())
+def test_flow_to_json_is_the_dumped_document(profile, seed, duration, label):
+    # Labels with quotes, backslashes, control and non-ASCII characters are
+    # escaped as json.dumps escapes them.
+    flow = core.generate_flow(profile, seed=seed, duration=duration, label=label)
+    assert core.flow_to_json(flow) == json.dumps(core.flow_to_document(flow))
+
+
+def test_both_writers_refuse_a_body_length_alike():
+    flow = core.FlowDataset((core.Vehicle(0, 0, 0), core.Vehicle(1, 2, 1, body_length=7.5)),
+                            duration=10, label="north")
+    messages = []
+    for write in (core.flow_to_document, core.flow_to_json):
+        with pytest.raises(ValueError, match=r"^flow 'north': vehicles\[1\] has a body "
+                                              "length of 7.5 m") as info:
+            write(flow)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]

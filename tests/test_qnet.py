@@ -481,3 +481,29 @@ class TestSingleStateForward:
         opt.step(net, gw, gb)
         x[:] = 0.0
         assert_same_bits(q, kept)
+
+
+def test_adam_sets_a_dead_first_moment_to_zero_and_moves_nothing_else():
+    # Coordinate 0's gradient is 1 at step 1 and 0 after, so its first moment
+    # is 0.1 * 0.9 ** (t - 1): subnormal from step 6,701 until the flush at
+    # step 7,000. The per-layer reference never flushes.
+    net = QNetwork((2, 2), np.random.default_rng(5))
+    opt = Adam(net)
+    ref = [p.copy() for p in net.parameters()]
+    ref_m = [np.zeros_like(p) for p in ref]
+    ref_v = [np.zeros_like(p) for p in ref]
+    flat_grad = np.random.default_rng(6).normal(size=net.flat.size)
+    flat_grad[0] = 1.0
+    grads = net.split(flat_grad)
+    for t in range(1, 7001):
+        reference_adam_step(ref, grads, ref_m, ref_v, t)
+        opt.step(net, grads[0::2], grads[1::2])
+        flat_grad[0] = 0.0
+    tiny = np.finfo(np.float64).tiny
+    ref_m = np.concatenate([m.ravel() for m in ref_m])
+    assert 0 < ref_m[0] < tiny
+    assert opt.m[0] == 0.0
+    assert not np.any((opt.m != 0) & (np.abs(opt.m) < tiny))
+    np.testing.assert_array_equal(opt.m[1:], ref_m[1:])
+    np.testing.assert_array_equal(opt.v, np.concatenate([v.ravel() for v in ref_v]))
+    np.testing.assert_array_equal(net.flat, np.concatenate([p.ravel() for p in ref]))
