@@ -13,7 +13,7 @@ import numpy as np
 
 from . import core, qnet
 from .core import IntersectionSpec, require_finite, require_integer
-from .env import ActionSpace, Transition, decode_action, observation_dim, observe
+from .env import PROCESSES, ActionSpace, Transition, decode_action, observation_dim, observe
 from .qnet import Adam, QNetwork
 from .sim import SimState
 
@@ -243,10 +243,10 @@ class GreedyController:
     """
 
     def __init__(self, agent: DQNAgent, spec: IntersectionSpec, meta: dict):
-        for key in ("variant", "action_mode", "process"):
+        for key in STEPPING_KEYS:
             if key not in meta:
                 raise ValueError(f"checkpoint meta lacks {key!r}")
-        if meta["process"] not in ("mdp", "smdp"):
+        if meta["process"] not in PROCESSES:
             raise ValueError(f"checkpoint meta has unknown process {meta['process']!r}")
         self.agent = agent
         self.variant = meta["variant"]
@@ -275,8 +275,10 @@ class GreedyController:
 CHECKPOINT_VERSION = 2
 
 # The keys `run_training` stores in a checkpoint's meta, which `eval` and
-# `sweep` read back.
-META_KEYS = ("variant", "action_mode", "process", "intersection")
+# `sweep` read back: the config fields a `GreedyController` steps by, and the
+# intersection document.
+STEPPING_KEYS = ("variant", "action_mode", "process")
+META_KEYS = STEPPING_KEYS + ("intersection",)
 
 
 def save_checkpoint(path, agent: DQNAgent, meta: dict | None = None) -> None:

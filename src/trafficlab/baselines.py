@@ -234,17 +234,18 @@ def _approaching_near_line(state: SimState, lanes, detection_distance: float) ->
     return _walk(state.lanes, edges, served, [0] * len(served), True)[1]
 
 
-CONTROLLER_NAMES = ("fixed", "random", "sotl1", "sotl2")
+# Each baseline's name and its builder from (spec, sotl, seed).
+_BUILDERS = {
+    "fixed": lambda spec, sotl, seed: FixedTimeController(spec),
+    "random": lambda spec, sotl, seed: RandomController(spec, seed=seed),
+    "sotl1": lambda spec, sotl, seed: CutoffController(spec, sotl),
+    "sotl2": lambda spec, sotl, seed: MaxIntegralController(spec, sotl),
+}
+CONTROLLER_NAMES = tuple(_BUILDERS)
 
 
 def make_controller(name: str, spec: IntersectionSpec, sotl: SotlParams | None = None,
                     seed: int = 0):
-    if name == "fixed":
-        return FixedTimeController(spec)
-    if name == "random":
-        return RandomController(spec, seed=seed)
-    if name == "sotl1":
-        return CutoffController(spec, sotl)
-    if name == "sotl2":
-        return MaxIntegralController(spec, sotl)
-    raise ValueError(f"unknown controller {name!r}")
+    if name not in CONTROLLER_NAMES:  # a tuple test: an unhashable name is refused too
+        raise ValueError(f"unknown controller {name!r}")
+    return _BUILDERS[name](spec, sotl, seed)

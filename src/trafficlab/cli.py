@@ -17,6 +17,9 @@ from pathlib import Path
 
 from . import core
 
+# Each `genspec --kind` and the ready-made intersection it writes.
+SPEC_KINDS = {"default": core.default_intersection, "two-phase": core.two_phase_intersection}
+
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
@@ -72,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_genflow)
 
     p = sub.add_parser("genspec", help="write a ready-made intersection document")
-    p.add_argument("--kind", choices=("default", "two-phase"), default="default")
+    p.add_argument("--kind", choices=tuple(SPEC_KINDS), default="default")
     p.add_argument("--out", required=True)
     p.add_argument("--lane-length", type=float, default=core.DEFAULT_LANE_LENGTH_M)
     p.set_defaults(func=cmd_genspec)
@@ -170,9 +173,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_genflow(args) -> int:
-    # The bound of a `flow_profiles` entry: compare and eval cut a flow into
-    # halves of at least 1 s.
-    core.require_integer("duration", args.duration, 2, core.MAX_FLOW_DURATION_S)
+    core.require_integer("duration", args.duration, core.MIN_SPLIT_DURATION_S,
+                         core.MAX_FLOW_DURATION_S)
     profile = core.parse_profile(args.profile)
     flow = core.generate_flow(profile, seed=args.seed, duration=args.duration,
                               label=Path(args.out).stem)
@@ -183,10 +185,7 @@ def cmd_genflow(args) -> int:
 
 
 def cmd_genspec(args) -> int:
-    if args.kind == "default":
-        spec = core.default_intersection(lane_length_m=args.lane_length)
-    else:
-        spec = core.two_phase_intersection(lane_length_m=args.lane_length)
+    spec = SPEC_KINDS[args.kind](lane_length_m=args.lane_length)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     Path(args.out).write_text(
         json.dumps(core.intersection_to_document(spec), indent=2), encoding="utf-8"

@@ -586,12 +586,17 @@ def split_dataset(datasets, holdout_index: int):
     return train, val, test
 
 
+# The shortest flow `split_halves` cuts: validation, `compare` and `eval` run
+# on its halves, which must last at least 1 s each.
+MIN_SPLIT_DURATION_S = 2
+
+
 def split_halves(dataset: FlowDataset) -> tuple[FlowDataset, FlowDataset]:
     """Cut one flow into its first and second time halves (second shifted to 0)."""
-    half = dataset.duration // 2
-    if half < 1:
+    if dataset.duration < MIN_SPLIT_DURATION_S:
         raise ValueError(f"flow {dataset.label!r} lasts {dataset.duration} s, too short to "
                          "split into halves of at least 1 s")
+    half = dataset.duration // 2
     first = tuple(v for v in dataset.vehicles if v.spawn_time < half)
     second = tuple(
         Vehicle(v.id, v.spawn_time - half, v.movement_id, v.body_length)
@@ -655,33 +660,21 @@ def load_flow(text: str) -> FlowDataset:
     return FlowDataset(vehicles=tuple(vehicles), duration=duration, label=label)
 
 
-def _check_body_lengths(flow: FlowDataset) -> None:
-    """A flow document has no body length, so a vehicle whose body length is
-    not the default is refused, naming it."""
+def flow_to_document(flow: FlowDataset) -> dict:
+    """Inverse of load_flow: the document `flow_to_json` writes, parsed."""
+    return json.loads(flow_to_json(flow))
+
+
+def flow_to_json(flow: FlowDataset) -> str:
+    """The flow document as compact JSON on one line, as `json.dumps` would
+    write it, with each vehicle row formatted straight from its record. A
+    document has no body length, so a vehicle whose body length is not the
+    default is refused, naming it."""
     for k, v in enumerate(flow.vehicles):
         if v.body_length != DEFAULT_BODY_LENGTH_M:
             raise ValueError(f"flow {flow.label!r}: vehicles[{k}] has a body length of "
                              f"{v.body_length} m; a flow document holds only the default "
                              f"{DEFAULT_BODY_LENGTH_M} m")
-
-
-def flow_to_document(flow: FlowDataset) -> dict:
-    """Inverse of load_flow; refuses a body length other than the default."""
-    _check_body_lengths(flow)
-    return {
-        "duration_s": flow.duration,
-        "label": flow.label,
-        "vehicles": [
-            {"id": v.id, "spawn_time_s": v.spawn_time, "movement": v.movement_id}
-            for v in flow.vehicles
-        ],
-    }
-
-
-def flow_to_json(flow: FlowDataset) -> str:
-    """`json.dumps(flow_to_document(flow))`, byte for byte, with each vehicle
-    row formatted straight from its record instead of through a dict."""
-    _check_body_lengths(flow)
     rows = ", ".join(['{"id": %d, "spawn_time_s": %d, "movement": %d}'
                       % (v.id, v.spawn_time, v.movement_id) for v in flow.vehicles])
     return ('{"duration_s": %d, "label": %s, "vehicles": [%s]}'

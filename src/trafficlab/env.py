@@ -11,12 +11,14 @@ from . import sim
 from .core import FlowDataset, IntersectionSpec
 from .sim import DEFAULT_MIN_SPACING_M, SimState
 
-# Observation variants. "combined" folds waiting and approaching counts into a
-# single per-lane total; the others expose separate blocks in the order
-# [waiting | approaching | distance | speed], each followed by the phase one-hot.
-VARIANTS = ("combined", "wa", "wad", "wads")
-ACTION_MODES = ("cyclic", "acyclic")  # see ActionSpace
+# Observation variants and their per-lane blocks. "combined" folds waiting and
+# approaching counts into a single per-lane total; the others expose separate
+# blocks in the order [waiting | approaching | distance | speed], each followed
+# by the phase one-hot.
 _BLOCKS = {"combined": 1, "wa": 2, "wad": 3, "wads": 4}
+VARIANTS = tuple(_BLOCKS)
+ACTION_MODES = ("cyclic", "acyclic")  # see ActionSpace
+PROCESSES = ("mdp", "smdp")  # see TrafficEnv
 
 
 def observation_dim(variant: str, n_lanes: int, n_phases: int) -> int:

@@ -13,11 +13,11 @@ from pathlib import Path
 import numpy as np
 
 from . import core, sim
-from .agents import (DQNAgent, DQNConfig, GreedyController, checkpoint_spec, load_checkpoint,
-                     save_checkpoint)
+from .agents import (STEPPING_KEYS, DQNAgent, DQNConfig, GreedyController, checkpoint_spec,
+                     load_checkpoint, save_checkpoint)
 from .baselines import CONTROLLER_NAMES, SotlParams, make_controller
 from .core import FlowDataset, IntersectionSpec
-from .env import (ACTION_MODES, VARIANTS, ActionSpace, TrafficEnv, decode_action,
+from .env import (ACTION_MODES, PROCESSES, VARIANTS, ActionSpace, TrafficEnv, decode_action,
                   observation_dim, observe, reward)
 
 # Figure-of-merit bookkeeping runs on weight updates; one epoch is 900 updates.
@@ -56,7 +56,7 @@ class ExperimentConfig:
     total_epochs: int = 200
     seed: int = 0
     out_dir: str = "runs/experiment"
-    controllers: list = field(default_factory=lambda: ["fixed", "random", "sotl1", "sotl2"])
+    controllers: list = field(default_factory=lambda: list(CONTROLLER_NAMES))
     repeats: int = 1
 
     def __post_init__(self):
@@ -80,7 +80,7 @@ class ExperimentConfig:
             raise ValueError(f"flows must be a list of flow document paths, got {self.flows!r}")
         _read_flow_profiles(self.flow_profiles)
         for name, accepted in (("variant", VARIANTS), ("action_mode", ACTION_MODES),
-                               ("process", ("mdp", "smdp"))):
+                               ("process", PROCESSES)):
             if getattr(self, name) not in accepted:
                 raise ValueError(f"{name} must be one of {', '.join(accepted)}, "
                                  f"got {getattr(self, name)!r}")
@@ -133,8 +133,8 @@ def _read_flow_profiles(entries) -> list[dict]:
             if key not in item:
                 raise ValueError(f"{where} lacks the {key!r} key")
         core.require_integer(f"{where}.seed", item["seed"])
-        # validation and compare cut a flow into two halves of at least 1 s
-        core.require_integer(f"{where}.duration", item["duration"], 2, core.MAX_FLOW_DURATION_S)
+        core.require_integer(f"{where}.duration", item["duration"], core.MIN_SPLIT_DURATION_S,
+                             core.MAX_FLOW_DURATION_S)
         if "label" in item and not isinstance(item["label"], str):
             raise ValueError(f"{where}.label must be a string, got {item['label']!r}")
         if not isinstance(item["profile"], str):
@@ -182,19 +182,27 @@ def evaluate(policy, spec: IntersectionSpec, flow: FlowDataset,
     `policy` is any object with `reset()` and `decide(state) -> phase`: a
     baseline controller or a `GreedyController` around a DQN agent. It is
     consulted once per second, before the tick, until the flow's duration or
-    `horizon`; `on_tick(state)`, if given, runs after every tick.
+    `horizon`; `on_tick(state)`, if given, runs after every tick. An episode
+    in which no vehicle spawns is refused, by the flow's label, before it runs.
     """
-    if not flow.vehicles:
-        raise ValueError("empty flow")
+    stop = _episode_stop(flow, horizon)
     state = sim.init(spec, flow)
     policy.reset()
-    stop = flow.duration if horizon is None else horizon
     while state.clock < stop:
         sim.command_signal(state, policy.decide(state))
         sim.tick(state)
         if on_tick is not None:
             on_tick(state)
     return sim.avg_travel_time(state, flow)
+
+
+def _episode_stop(flow: FlowDataset, horizon: int | None) -> int:
+    """The tick an episode on `flow` stops at, refusing by the flow's label an
+    episode with no trip to average: no vehicle spawns before it."""
+    stop = flow.duration if horizon is None else horizon
+    if not flow.vehicles or flow.vehicles[0].spawn_time >= stop:
+        raise ValueError(f"empty flow {flow.label!r}: no vehicle spawns before {stop} s")
+    return stop
 
 
 def greedy_rollout(policy, spec: IntersectionSpec, flow: FlowDataset,
@@ -226,6 +234,7 @@ class TrainingRun:
         spec, flows = load_materials(config)
         holdout = config.holdout_index % n
         val_flow, _ = core.split_halves(flows[holdout])
+        _episode_stop(val_flow, config.horizon)
         self.spec, self.val_flow, self.horizon = spec, val_flow, config.horizon
         # The other flows train; a single flow (a smoke setup) trains on itself.
         train_flows = [f for k, f in enumerate(flows) if k != holdout] or flows
@@ -233,9 +242,8 @@ class TrainingRun:
         space = ActionSpace(config.action_mode, spec.n_phases)
         in_dim = observation_dim(config.variant, spec.n_lanes, spec.n_phases)
         self.agent = DQNAgent(in_dim, space.size, dqn_config)
-        self.meta = {"variant": config.variant, "action_mode": config.action_mode,
-                     "process": config.process,
-                     "intersection": core.intersection_to_document(spec)}
+        self.meta = {key: getattr(config, key) for key in STEPPING_KEYS}
+        self.meta["intersection"] = core.intersection_to_document(spec)
         self.greedy = GreedyController(self.agent, spec, self.meta)
         self.envs = [TrafficEnv(spec, f, variant=config.variant, action_mode=config.action_mode,
                                 gamma=dqn_config.gamma, horizon=config.horizon)
@@ -313,6 +321,9 @@ def compare(config: ExperimentConfig):
     spec, flows = load_materials(config)
     sotl = SotlParams(**config.sotl)
     halves = [(flow.label, core.split_halves(flow)) for flow in flows]
+    for _, parts in halves:
+        for part in parts:
+            _episode_stop(part, config.horizon)
     # Each policy is built once, before the first episode, so a checkpoint that
     # does not fit fails early; `evaluate` resets it before each episode. Only
     # the random controller is stochastic, so only it gets `repeats` seeds.
@@ -333,7 +344,7 @@ def compare(config: ExperimentConfig):
 
 
 def _build_policy(name: str, spec: IntersectionSpec, sotl: SotlParams,
-                  config: ExperimentConfig, seed_offset: int = 0):
+                  config: ExperimentConfig, seed_offset: int):
     if name.startswith("dqn:"):
         agent, meta = load_checkpoint(name.split(":", 1)[1])
         try:
@@ -398,16 +409,13 @@ def qvalue_sweep(checkpoint_path, grid_max: int, lane_pair=None):
 
 
 def sotl_grid_search(spec: IntersectionSpec, flow: FlowDataset, thresholds,
-                     cluster_splits=(1, 3, 5), min_greens=(5,),
-                     detection_distances=(80.0,)):
-    """Brute tuning helper for the acyclic threshold controller; returns
-    (params, avg travel time) pairs sorted best first."""
+                     cluster_splits=(1, 3, 5), min_greens=(5,)):
+    """Brute tuning helper for the acyclic threshold controller, at the default
+    detection distance; returns (params, avg travel time) pairs sorted best
+    first."""
     results = []
-    for th, mu, mg, dd in itertools.product(
-        thresholds, cluster_splits, min_greens, detection_distances
-    ):
-        params = SotlParams(threshold=th, cluster_split=mu, min_green=mg,
-                            detection_distance=dd)
+    for th, mu, mg in itertools.product(thresholds, cluster_splits, min_greens):
+        params = SotlParams(threshold=th, cluster_split=mu, min_green=mg)
         tt = evaluate(make_controller("sotl2", spec, params), spec, flow)
         results.append((params, tt))
     results.sort(key=lambda item: item[1])

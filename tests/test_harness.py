@@ -3,6 +3,7 @@
 import csv
 import itertools
 import json
+import math
 import re
 import time
 from dataclasses import dataclass
@@ -10,11 +11,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from trafficlab import core, harness
+from trafficlab import core, harness, sim
 from trafficlab.agents import (DQNAgent, DQNConfig, GreedyController, load_checkpoint,
                                save_checkpoint)
-from trafficlab.baselines import make_controller, SotlParams
+from trafficlab.baselines import CONTROLLER_NAMES, make_controller, SotlParams
 from trafficlab.env import ActionSpace, TrafficEnv, lane_capacity, observation_dim
 from trafficlab.harness import (ExperimentConfig, METRICS_COLUMNS, COMPARE_COLUMNS,
                                 UPDATES_PER_EPOCH, _format_cell, greedy_rollout, load_materials)
@@ -730,3 +733,78 @@ def test_a_tied_validation_keeps_the_earlier_checkpoint(tmp_path, monkeypatch):
     assert [row["val_avg_travel_time_s"] for row in run.rows] == [50.0, 50.0]
     assert run.best_val_travel_time == 50.0
     assert load_checkpoint(run.best_checkpoint)[0].updates_done == 0
+
+
+def counted_ticks(monkeypatch) -> list:
+    """Record the clock before every `sim.tick`, in call order."""
+    clocks = []
+    tick = sim.tick
+
+    def counting_tick(state):
+        clocks.append(state.clock)
+        return tick(state)
+
+    monkeypatch.setattr(sim, "tick", counting_tick)
+    return clocks
+
+
+@st.composite
+def short_episodes(draw):
+    """A flow of 0-5 vehicles on the two-phase spec and a horizon of None or
+    1 to its duration + 5 s."""
+    duration = draw(st.integers(1, 30))
+    spawns = sorted(draw(st.lists(st.integers(0, duration - 1), max_size=5)))
+    vehicles = tuple(core.Vehicle(k, t, draw(st.integers(0, 3))) for k, t in enumerate(spawns))
+    horizon = draw(st.none() | st.integers(1, duration + 5))
+    return core.FlowDataset(vehicles, duration, label="drawn"), horizon
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(drawn=short_episodes(), name=st.sampled_from(CONTROLLER_NAMES))
+def test_an_episode_with_no_trip_is_refused_by_label_before_its_first_tick(two_phase_spec,
+                                                                           drawn, name):
+    # It used to tick to the horizon and then end in an unnamed 'empty flow'.
+    flow, horizon = drawn
+    stop = flow.duration if horizon is None else horizon
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        ticks = counted_ticks(monkeypatch)
+        try:
+            tt = harness.evaluate(make_controller(name, two_phase_spec, SotlParams(), seed=1),
+                                  two_phase_spec, flow, horizon)
+        except ValueError as exc:
+            assert str(exc) == f"empty flow 'drawn': no vehicle spawns before {stop} s"
+            assert ticks == []
+            assert all(v.spawn_time >= stop for v in flow.vehicles)
+        else:
+            assert math.isfinite(tt) and ticks == list(range(stop))
+
+
+def test_a_validation_half_with_no_trip_is_refused_by_name_before_the_run_writes(tmp_path):
+    # The holdout's vehicles spawn at 60-69 s of 100, so its first half, the
+    # validation episode, has none. The run used to be left with a
+    # metrics.csv holding only its header, and an unnamed 'empty flow'.
+    back = core.FlowDataset(tuple(core.Vehicle(k, 60 + k, k % 4) for k in range(10)), 100,
+                            label="back")
+    (tmp_path / "back.json").write_text(core.flow_to_json(back))
+    config = ExperimentConfig.from_file(write_toy_config(tmp_path, flows=["back.json"],
+                                                         holdout_index=0))
+    with pytest.raises(ValueError, match=r"^empty flow 'back/val': no vehicle spawns before "
+                                         r"50 s$"):
+        harness.run_training(config)
+    assert not Path(config.out_dir).exists()
+
+
+def test_compare_refuses_a_half_with_no_trip_by_name_before_any_tick(tmp_path, monkeypatch):
+    # The vehicles spawn at 0-9 s of 100, so the test half has none. compare
+    # used to run the 50-tick val episode first, then end in an unnamed
+    # 'empty flow'.
+    front = core.FlowDataset(tuple(core.Vehicle(k, k, k % 4) for k in range(10)), 100,
+                             label="front")
+    (tmp_path / "front.json").write_text(core.flow_to_json(front))
+    config = ExperimentConfig.from_file(write_toy_config(tmp_path, flows=["front.json"],
+                                                         controllers=["fixed", "sotl2"]))
+    ticks = counted_ticks(monkeypatch)
+    with pytest.raises(ValueError, match=r"^empty flow 'front/test': no vehicle spawns before "
+                                         r"50 s$"):
+        harness.compare(config)
+    assert ticks == []
