@@ -2,8 +2,8 @@
 
 The public names below resolve lazily (PEP 562): `import trafficlab` loads
 nothing but this file, and the first use of a name imports its submodule.
-Only `core` is pure stdlib; `env`, `qnet`, `agents`, `baselines`, `harness`
-and `sim` bring in numpy. Submodules import as usual
+`core`, `sim` and `baselines` need only the stdlib; `env`, `qnet`, `agents`
+and `harness` bring in numpy. Submodules import as usual
 (`from trafficlab import agents`).
 """
 

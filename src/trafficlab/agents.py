@@ -13,7 +13,8 @@ import numpy as np
 
 from . import core, qnet
 from .core import IntersectionSpec, require_finite, require_integer
-from .env import PROCESSES, ActionSpace, Transition, decode_action, observation_dim, observe
+from .env import (PROCESSES, ActionSpace, Transition, decode_action, holds_phase,
+                  observation_dim, observe)
 from .qnet import Adam, QNetwork
 from .sim import SimState
 
@@ -235,11 +236,10 @@ class GreedyController:
 
     `meta` carries the stepping configuration `run_training` stores with a
     checkpoint: `variant`, `action_mode` and `process`. A network whose input
-    or output size does not fit them on `spec` is refused. While yellow runs the
-    controller keeps the current phase without running the network, in either
-    process: `sim.command_signal` ignores any request then. Under "smdp" it
-    also keeps it on the tick the new phase lands, exactly as
-    `TrafficEnv.smdp_step` folds those ticks into one transition.
+    or output size does not fit them on `spec` is refused. On the ticks
+    `env.holds_phase` names for its process (yellow, and under "smdp" the tick
+    the new phase lands) it keeps the current phase without running the
+    network, as `TrafficEnv.smdp_step` folds those ticks into one transition.
     """
 
     def __init__(self, agent: DQNAgent, spec: IntersectionSpec, meta: dict):
@@ -264,12 +264,10 @@ class GreedyController:
         pass
 
     def decide(self, state: SimState) -> int:
-        sig = state.signal
-        landing = sig.time_in_phase == 0 and state.clock > 0
-        if sig.yellow_remaining > 0 or (self.smdp and landing):
-            return sig.current_phase
+        if holds_phase(state, self.smdp):
+            return state.signal.current_phase
         action = int(self.agent.q_values(observe(state, self.variant)).argmax())
-        return decode_action(self.space, action, sig.current_phase)
+        return decode_action(self.space, action, state.signal.current_phase)
 
 
 CHECKPOINT_VERSION = 2

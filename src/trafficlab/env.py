@@ -97,6 +97,14 @@ def decode_action(space: ActionSpace, action: int, current_phase: int) -> int:
     return action
 
 
+def holds_phase(state: SimState, smdp: bool) -> bool:
+    """Whether a policy does not act now: while yellow runs and, under SMDP, on
+    the tick the new phase lands. `TrafficEnv.smdp_step` folds those ticks into
+    one transition; `agents.GreedyController` keeps the phase on them."""
+    sig = state.signal
+    return sig.yellow_remaining > 0 or (smdp and sig.time_in_phase == 0 and state.clock > 0)
+
+
 @dataclass(frozen=True)
 class Transition:
     state: np.ndarray
@@ -179,18 +187,11 @@ class TrafficEnv:
             raise RuntimeError("cannot step a terminal episode")
         if self.state.signal.yellow_remaining > 0:
             raise RuntimeError("smdp_step owns the yellow period; the simulator is mid-yellow")
-        current = self.state.signal.current_phase
-        target = decode_action(self.action_space, action, current)
-        if target == current:
-            r = self.gamma * self._tick_reward()
-            duration = 1
-        else:
-            sim.command_signal(self.state, target)
-            r = 0.0
-            duration = 0
-            for t in range(1, self.spec.yellow_duration + 2):
-                r += (self.gamma ** t) * self._tick_reward()
-                duration += 1
-                if self.terminal:
-                    break
+        target = decode_action(self.action_space, action, self.state.signal.current_phase)
+        sim.command_signal(self.state, target)  # a keep is a no-op
+        r = self.gamma * self._tick_reward()
+        duration = 1
+        while not self.terminal and holds_phase(self.state, True):
+            duration += 1
+            r += (self.gamma ** duration) * self._tick_reward()
         return self._transition(action, r, duration)

@@ -18,7 +18,7 @@ from .agents import (STEPPING_KEYS, DQNAgent, DQNConfig, GreedyController, check
 from .baselines import CONTROLLER_NAMES, SotlParams, make_controller
 from .core import FlowDataset, IntersectionSpec
 from .env import (ACTION_MODES, PROCESSES, VARIANTS, ActionSpace, TrafficEnv, decode_action,
-                  observation_dim, observe, reward)
+                  lane_capacity, observation_dim, observe, reward)
 
 # Figure-of-merit bookkeeping runs on weight updates; one epoch is 900 updates.
 UPDATES_PER_EPOCH = 900
@@ -364,7 +364,9 @@ def qvalue_sweep(checkpoint_path, grid_max: int, lane_pair=None):
     the opposing one. `env.observe` encodes it, and the row reports the
     values of the actions that keep the held phase and switch to the other.
     `lane_pair` is (held lane, opposing lane); a pair that does not fit the
-    spec is refused with a `ValueError`.
+    spec is refused with a `ValueError`, and so is a `grid_max` above the
+    larger `env.lane_capacity` of the two lanes: past it the counts clip, and
+    every row repeats the capacity row.
     """
     if grid_max < 1:
         raise ValueError("grid_max must be at least 1")
@@ -386,6 +388,10 @@ def qvalue_sweep(checkpoint_path, grid_max: int, lane_pair=None):
             or lane_pair[1] not in spec.green_lanes(switch_phase)):
         raise ValueError(f"lanes {lane_pair}: need a lane of the spec and a lane green only "
                          "in the phase that does not serve it")
+    bound = max(lane_capacity(spec.lanes[k].length_m) for k in lane_pair)
+    if grid_max > bound:
+        raise ValueError(f"grid_max {grid_max} is above {bound}, the larger lane capacity of "
+                         f"lanes {lane_pair}")
 
     action_to = {decode_action(greedy.space, a, keep_phase): a for a in range(greedy.space.size)}
     # Each lane's queue stands from its stop line back at jam spacing, any

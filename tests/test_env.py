@@ -244,6 +244,72 @@ class TestSmdpStep:
         assert e.state.signal.current_phase == 1
 
 
+class TestHoldsPhase:
+    """`env.holds_phase` is the one statement of when a policy does not act."""
+
+    @pytest.mark.parametrize("yellow", [1, 3, 5])
+    def test_truth_table_along_a_switch(self, yellow):
+        spec = core.two_phase_intersection(lane_length_m=150.0, yellow_duration=yellow)
+        e = TrafficEnv(spec, empty_flow(100), action_mode="acyclic")
+        e.reset()
+        seen = []
+
+        def record(name):
+            seen.append((name, env.holds_phase(e.state, False), env.holds_phase(e.state, True)))
+
+        record("clock 0")
+        e.mdp_step(1)  # commands the switch; its first yellow tick runs
+        for _ in range(yellow - 1):
+            record("yellow")
+            e.mdp_step(1)
+        sig = e.state.signal
+        assert (sig.current_phase, sig.yellow_remaining, sig.time_in_phase) == (1, 0, 0)
+        record("landing")
+        e.mdp_step(1)
+        record("mid-green")
+        assert seen == ([("clock 0", False, False)] + [("yellow", True, True)] * (yellow - 1)
+                        + [("landing", False, True), ("mid-green", False, False)])
+
+    def test_truth_table_on_set_states(self, two_phase_spec):
+        state = sim.init(two_phase_spec, empty_flow(100))
+        for clock, yellow_remaining, time_in_phase, mdp, smdp in (
+                (0, 0, 0, False, False),  # clock 0: the episode's first decision
+                (7, 3, 2, True, True),  # yellow
+                (7, 0, 0, False, True),  # the new phase lands
+                (7, 0, 2, False, False)):  # mid-green
+            state.clock = clock
+            state.signal.yellow_remaining = yellow_remaining
+            state.signal.time_in_phase = time_in_phase
+            assert (env.holds_phase(state, False), env.holds_phase(state, True)) == (mdp, smdp)
+
+
+class TestSmdpStepDuration:
+    @pytest.mark.parametrize("yellow", [1, 2, 5])
+    def test_a_keep_is_one_tick_and_a_switch_is_yellow_plus_one(self, yellow):
+        spec = core.two_phase_intersection(lane_length_m=150.0, yellow_duration=yellow)
+        e = TrafficEnv(spec, empty_flow(100), action_mode="acyclic")
+        e.reset()
+        clocks = [e.state.clock]
+        durations = []
+        for action in (0, 0, 1, 1, 0, 0):
+            durations.append(e.smdp_step(action).duration)
+            clocks.append(e.state.clock)
+            assert not env.holds_phase(e.state, True)
+        assert durations == [1, 1, yellow + 1, 1, yellow + 1, 1]
+        assert [b - a for a, b in zip(clocks, clocks[1:])] == durations
+        assert e.state.signal.current_phase == 0
+
+    @pytest.mark.parametrize("horizon", [1, 3, 5, 6])
+    def test_a_switch_cut_by_the_horizon_stops_at_it(self, two_phase_spec, horizon):
+        # The 5 s yellow and the landing tick take 6 ticks; a shorter horizon
+        # ends the switch's transition at the horizon, mid-yellow or landing.
+        e = TrafficEnv(two_phase_spec, empty_flow(100), action_mode="acyclic", horizon=horizon)
+        e.reset()
+        t = e.smdp_step(1)
+        assert t.terminal and t.duration == horizon == e.state.clock
+        assert e.state.signal.yellow_remaining == max(0, 5 - horizon)
+
+
 def scripted_smdp_episode(spec, flow, hold=10):
     """Switch to the next phase after `hold` green seconds, SMDP stepping."""
     e = TrafficEnv(spec, flow, action_mode="acyclic", gamma=0.99)

@@ -341,6 +341,39 @@ class TestQvalueSweep:
             harness.qvalue_sweep(path, grid_max=2, lane_pair=(0, 1))
         assert len(harness.qvalue_sweep(path, grid_max=2, lane_pair=(0, 3))) == 9
 
+    def test_rejects_a_grid_past_the_larger_lane_capacity(self, tmp_path):
+        # Lanes 0 and 1 are 150 m (capacity 20), lanes 2 and 3 are 300 m (40).
+        # Past the larger capacity of the swept pair the counts clip and every
+        # row repeats the capacity row, so the grid is refused; it is
+        # O(grid_max^2) cells, and a huge one used to run until killed.
+        doc = {
+            "yellow_duration": 5,
+            "lanes": [{"length_m": m, "vmax_ms": 11.0} for m in (150.0, 150.0, 300.0, 300.0)],
+            "movements": [{"lane": k, "approach": a, "turn": "straight"}
+                          for k, a in enumerate("NESW")],
+            "conflicts": [],
+            "phases": [[0, 2], [1, 3]],
+        }
+        spec = core.load_intersection(json.dumps(doc))
+        assert [lane_capacity(lane.length_m) for lane in spec.lanes] == [20, 20, 40, 40]
+        path = zeroed_checkpoint(tmp_path, spec)
+        for pair, bound in (((0, 1), 20), ((0, 3), 40), ((2, 1), 40)):
+            for grid_max in (bound + 1, 10**6):
+                with pytest.raises(ValueError, match=re.escape(
+                        f"grid_max {grid_max} is above {bound}, the larger lane capacity of "
+                        f"lanes {pair}")):
+                    harness.qvalue_sweep(path, grid_max=grid_max, lane_pair=pair)
+        rows = harness.qvalue_sweep(path, grid_max=20, lane_pair=(0, 1))
+        assert len(rows) == 21 * 21 and rows[-1]["n1"] == rows[-1]["n2"] == 20
+        assert len(harness.qvalue_sweep(path, grid_max=21, lane_pair=(0, 3))) == 22 * 22
+        # The earlier refusals keep their messages at any grid size.
+        with pytest.raises(ValueError, match="grid_max must be at least 1"):
+            harness.qvalue_sweep(path, grid_max=0)
+        with pytest.raises(ValueError, match=re.escape("lanes (0, 2)")):
+            harness.qvalue_sweep(path, grid_max=10**6, lane_pair=(0, 2))
+        with pytest.raises(ValueError, match=re.escape("lanes must be two lane indices, got (0,)")):
+            harness.qvalue_sweep(path, grid_max=10**6, lane_pair=(0,))
+
     @pytest.mark.parametrize("action_mode", ["acyclic", "cyclic"])
     def test_valid_pairs_give_the_reference_rows(self, tmp_path, two_phase_spec, action_mode):
         agent = DQNAgent(observation_dim("wad", 4, 2), 2, DQNConfig(seed=3))
