@@ -105,10 +105,10 @@ def cmd_eval(args) -> int:
 
     agent, meta = load_checkpoint(args.checkpoint)
     if args.spec is not None:
-        spec = core.load_intersection(Path(args.spec).read_text(encoding="utf-8"))
+        spec = core.read_document(args.spec, core.load_intersection)
     else:
         spec = checkpoint_spec(args.checkpoint, meta)
-    flow = core.load_flow(Path(args.flow).read_text(encoding="utf-8"))
+    flow = core.read_document(args.flow, core.load_flow)
     if not flow.label:  # the label genflow would have written
         flow = dataclasses.replace(flow, label=Path(args.flow).stem)
     val, test = core.split_halves(flow)

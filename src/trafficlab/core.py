@@ -62,6 +62,18 @@ def reject_unknown_keys(where: str, doc: dict, accepted) -> None:
                          f"accepted keys: {', '.join(accepted)}")
 
 
+def read_document(path, parse):
+    """`parse` applied to the UTF-8 text of the file at `path`. A ValueError
+    from reading or parsing it (undecodable bytes and malformed JSON included)
+    is re-raised with the file named after its message."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{exc} (in {path})") from exc
+
+
 @dataclass(frozen=True)
 class Movement:
     """One traffic stream: an incoming lane and where it goes."""
@@ -621,11 +633,15 @@ def load_flow(text: str) -> FlowDataset:
     holds a value that is not an integer or a label that is not a string, a
     negative duration or spawn time, a duration above MAX_FLOW_DURATION_S, or
     vehicles out of spawn order or past the duration is refused with a
-    ValueError naming the path, such as `vehicles[17].spawn_time_s`. Vehicle
-    and FlowDataset hold the rules on values; the reader names a refused
-    field by its document key.
+    ValueError naming the path, such as `vehicles[17].spawn_time_s`, and
+    text that is not JSON as a malformed flow document. Vehicle and
+    FlowDataset hold the rules on values; the reader names a refused field by
+    its document key.
     """
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"malformed flow document: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError(f"a flow document must be a JSON object, got {type(doc).__name__}")
     for key in ("duration_s", "vehicles"):

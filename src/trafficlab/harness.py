@@ -98,7 +98,7 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         path = Path(path)
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = core.read_document(path, json.loads)
         if not isinstance(doc, dict):
             raise ValueError(f"config {path} must be a JSON object")
         core.reject_unknown_keys("config", doc, [f.name for f in fields(cls)])
@@ -158,9 +158,10 @@ def _resolve(base: Path, p: str) -> Path:
 def load_materials(config: ExperimentConfig):
     """Resolve the intersection and flow set named by a config, naming an
     unlabeled flow `flow<k>` by its index, and refusing any flow that does not
-    fit the intersection before an episode runs."""
-    spec = core.load_intersection(Path(config.intersection).read_text(encoding="utf-8"))
-    flows = [core.load_flow(Path(f).read_text(encoding="utf-8")) for f in config.flows]
+    fit the intersection before an episode runs. A file refused as read is
+    named by its path."""
+    spec = core.read_document(config.intersection, core.load_intersection)
+    flows = [core.read_document(f, core.load_flow) for f in config.flows]
     flows += [core.generate_flow(**args) for args in _read_flow_profiles(config.flow_profiles)]
     if not flows:
         raise ValueError("config names no flows")

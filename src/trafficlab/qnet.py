@@ -1,16 +1,13 @@
 """Action-value network: a small numpy MLP with analytic gradients and Adam.
 
-`forward` on one state vector runs each layer on the 1-D vector, allocating
-its small result; numpy sends `(n,) @ (n, m)` to the same vector-matrix BLAS
-call as `(1, n) @ (n, m)`, so the values are those of a batch of one. Batches,
-in `forward` and `loss_and_grads`, share one forward routine that writes into
+`forward` and `loss_and_grads` share one forward routine, which writes into
 the network's workspace: activation, delta and ReLU-mask buffers, one set per
 batch size, made the first time that size is used and reused by every later
-call of that size. What the functions return is never workspace memory (batch
-Q values are copied out, gradients are views of a fresh vector), so a result
-stays valid across later calls. A workspace belongs to one network: `copy`
-makes the clone its own, checkpoints do not store it, and two threads must not
-run one network at once.
+call of that size. One state vector runs as a batch of one. What the
+functions return is never workspace memory (Q values are copied out,
+gradients are views of a fresh vector), so a result stays valid across later
+calls. A workspace belongs to one network: `copy` makes the clone its own,
+checkpoints do not store it, and two threads must not run one network at once.
 """
 
 from __future__ import annotations
@@ -130,16 +127,9 @@ def forward(net: QNetwork, states: np.ndarray) -> np.ndarray:
     x = np.asarray(states, dtype=np.float64)
     if x.shape[-1] != net.in_dim:
         raise ValueError(f"state dimension {x.shape[-1]} does not match network input {net.in_dim}")
-    if x.ndim != 1:
-        return _run(net, x).outputs[-1].copy()
-    h = x
-    last = len(net.weights) - 1
-    for k, (w, b) in enumerate(zip(net.weights, net.biases)):
-        h = h @ w
-        h += b
-        if k < last:
-            np.maximum(h, 0.0, out=h)
-    return h
+    if x.ndim == 1:
+        return _run(net, x[None, :]).outputs[-1][0].copy()
+    return _run(net, x).outputs[-1].copy()
 
 
 def loss_and_grads(net: QNetwork, states, actions, targets):
