@@ -91,6 +91,8 @@ def cmd_train(args) -> int:
         config.seed = args.seed
     if args.out is not None:
         config.out_dir = args.out
+    require_writable("out_dir" if args.out is None else "--out", config.out_dir,
+                     directory=True)
     result = harness.run_training(config)
     print(f"metrics: {result.metrics_path}")
     print(f"best checkpoint: {result.best_checkpoint}")
@@ -103,6 +105,8 @@ def cmd_eval(args) -> int:
     from .agents import checkpoint_spec, load_checkpoint
     from .sim import trajectory_rows
 
+    if args.trace is not None:
+        require_writable("--trace", args.trace)
     agent, meta = load_checkpoint(args.checkpoint)
     if args.spec is not None:
         spec = core.read_document(args.spec, core.load_intersection)
@@ -134,6 +138,7 @@ def cmd_eval(args) -> int:
 def cmd_compare(args) -> int:
     from . import harness
 
+    require_writable("--out", args.out)
     config = harness.ExperimentConfig.from_file(args.config)
     if args.repeats is not None:
         config.repeats = args.repeats
@@ -141,6 +146,22 @@ def cmd_compare(args) -> int:
     harness.write_csv(args.out, harness.COMPARE_COLUMNS, rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
+
+
+def require_writable(name: str, path, directory: bool = False) -> None:
+    """Refuse an output path that cannot be written, before any work: an
+    existing directory given as a file (or a file given as a directory), or a
+    path under an existing file. `name` is the flag or config key that gave it."""
+    path = Path(path)
+    if path.exists():
+        if path.is_dir() != directory:
+            raise ValueError(f"{name} {path} cannot be written: it is "
+                             f"{'a directory' if path.is_dir() else 'a file'}")
+        return
+    # A path that does not exist has an ancestor that does: `.` or the root.
+    parent = next(p for p in path.parents if p.exists())
+    if not parent.is_dir():
+        raise ValueError(f"{name} {path} cannot be written: {parent} is a file")
 
 
 def _repeat_count(text: str) -> int:
@@ -166,6 +187,7 @@ def _lane_pair(text: str) -> tuple[int, int]:
 def cmd_sweep(args) -> int:
     from . import harness
 
+    require_writable("--out", args.out)
     rows = harness.qvalue_sweep(args.checkpoint, args.grid_max, args.lanes)
     harness.write_csv(args.out, harness.SWEEP_COLUMNS, rows)
     print(f"wrote {len(rows)} rows to {args.out}")
@@ -173,6 +195,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_genflow(args) -> int:
+    require_writable("--out", args.out)
     core.require_integer("duration", args.duration, core.MIN_SPLIT_DURATION_S,
                          core.MAX_FLOW_DURATION_S)
     profile = core.parse_profile(args.profile)
@@ -185,6 +208,7 @@ def cmd_genflow(args) -> int:
 
 
 def cmd_genspec(args) -> int:
+    require_writable("--out", args.out)
     spec = SPEC_KINDS[args.kind](lane_length_m=args.lane_length)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     Path(args.out).write_text(

@@ -122,6 +122,26 @@ def train_best(workspace, name, argv=(), **changes):
     return workspace / name / "best.npz"
 
 
+@pytest.mark.parametrize("via", ["--out", "out_dir"])
+def test_train_writes_into_the_working_directory(workspace, monkeypatch, via):
+    """`train --out .`, or a config `out_dir` of "." beside the config, in the
+    working directory: `.` has no parent, and it is a writable directory."""
+    doc = {**json.loads((workspace / "config.json").read_text()), "out_dir": "."}
+    (workspace / "here.json").write_text(json.dumps(doc))
+    monkeypatch.chdir(workspace)
+    argv = ["--out", "."] if via == "--out" else []
+    assert run_cli(["train", "--config", "here.json", *argv]) == 0
+    assert (workspace / "best.npz").exists()
+
+
+def test_require_writable_accepts_what_can_be_written(tmp_path, monkeypatch):
+    (tmp_path / "old.csv").write_text("old")
+    monkeypatch.chdir(tmp_path)
+    for path, directory in [(".", True), ("old.csv", False), ("new.csv", False),
+                            ("a/b/new.csv", False), ("a/b", True), (tmp_path, True)]:
+        cli.require_writable("--out", path, directory)
+
+
 def test_train_seed_flag_seeds_the_network(workspace):
     with np.load(train_best(workspace, "five", ["--seed", "5"])) as five, \
             np.load(train_best(workspace, "nine", ["--seed", "9"])) as nine:

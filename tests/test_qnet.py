@@ -419,9 +419,9 @@ class TestWorkspace:
 
 
 def workspace_forward(net: QNetwork, states: np.ndarray) -> np.ndarray:
-    """`forward` as it was before the 1-D path, kept verbatim (bar the name and
-    the `qnet.` prefix) as the reference: one state ran as a batch of one
-    through the workspace."""
+    """The reference forward, kept verbatim (bar the name and the `qnet.`
+    prefix) from before `forward` had a separate 1-D path: one state runs as a
+    batch of one through the workspace, as `forward` itself now runs it."""
     x = np.asarray(states, dtype=np.float64)
     single = x.ndim == 1
     if single:
@@ -438,7 +438,9 @@ def assert_same_bits(got, want):
 
 
 class TestSingleStateForward:
-    """One state vector runs on the 1-D vector, bit for bit as a batch of one."""
+    """One state vector, contiguous, strided or a list, runs as a batch of
+    one: bit for bit as the reference `workspace_forward`, and into a result
+    that later calls leave alone."""
 
     LAYERS = [(40,) + qnet.HIDDEN + (8,), (14,) + qnet.HIDDEN + (2,), (5, 9, 4), (1, 1, 1, 1),
               (3, 7)]
