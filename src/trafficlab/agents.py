@@ -4,10 +4,8 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import zipfile
 from dataclasses import asdict, dataclass, fields
-from pathlib import Path
 
 import numpy as np
 
@@ -300,16 +298,8 @@ def save_checkpoint(path, agent: DQNAgent, meta: dict | None = None) -> None:
         "meta": np.asarray(json.dumps(meta or {}, sort_keys=True)),
         "rng_state": np.asarray(json.dumps(agent.rng.bit_generator.state, sort_keys=True)),
     }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    partial = path.with_name(path.name + ".tmp")
-    try:
-        with open(partial, "wb") as fh:
-            np.savez(fh, **arrays)
-        os.replace(partial, path)
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
+    with core.output_file(path, binary=True) as fh:
+        np.savez(fh, **arrays)
 
 
 def load_checkpoint(path) -> tuple[DQNAgent, dict]:

@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 from . import core
+from .core import require_writable
 
 # Each `genspec --kind` and the ready-made intersection it writes.
 SPEC_KINDS = {"default": core.default_intersection, "two-phase": core.two_phase_intersection}
@@ -148,22 +149,6 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def require_writable(name: str, path, directory: bool = False) -> None:
-    """Refuse an output path that cannot be written, before any work: an
-    existing directory given as a file (or a file given as a directory), or a
-    path under an existing file. `name` is the flag or config key that gave it."""
-    path = Path(path)
-    if path.exists():
-        if path.is_dir() != directory:
-            raise ValueError(f"{name} {path} cannot be written: it is "
-                             f"{'a directory' if path.is_dir() else 'a file'}")
-        return
-    # A path that does not exist has an ancestor that does: `.` or the root.
-    parent = next(p for p in path.parents if p.exists())
-    if not parent.is_dir():
-        raise ValueError(f"{name} {path} cannot be written: {parent} is a file")
-
-
 def _repeat_count(text: str) -> int:
     try:
         repeats = int(text)
@@ -201,8 +186,8 @@ def cmd_genflow(args) -> int:
     profile = core.parse_profile(args.profile)
     flow = core.generate_flow(profile, seed=args.seed, duration=args.duration,
                               label=Path(args.out).stem)
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    Path(args.out).write_text(core.flow_to_json(flow), encoding="utf-8")
+    with core.output_file(args.out) as fh:
+        fh.write(core.flow_to_json(flow))
     print(f"wrote {len(flow.vehicles)} vehicles to {args.out}")
     return 0
 
@@ -210,10 +195,8 @@ def cmd_genflow(args) -> int:
 def cmd_genspec(args) -> int:
     require_writable("--out", args.out)
     spec = SPEC_KINDS[args.kind](lane_length_m=args.lane_length)
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    Path(args.out).write_text(
-        json.dumps(core.intersection_to_document(spec), indent=2), encoding="utf-8"
-    )
+    with core.output_file(args.out) as fh:
+        json.dump(core.intersection_to_document(spec), fh, indent=2)
     print(f"wrote {args.kind} intersection ({spec.n_lanes} lanes, "
           f"{spec.n_phases} phases) to {args.out}")
     return 0

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
 import numbers
 import operator
+import os
 import random
 from dataclasses import dataclass, field
+from pathlib import Path
 
 APPROACHES = ("N", "E", "S", "W")
 TURNS = ("straight", "left")
@@ -72,6 +75,40 @@ def read_document(path, parse):
         return parse(text)
     except ValueError as exc:
         raise ValueError(f"{exc} (in {path})") from exc
+
+
+@contextlib.contextmanager
+def output_file(path, binary: bool = False):
+    """The one writer of output files: a handle on `<name>.tmp` beside `path`
+    (UTF-8 text, no newline translation, or bytes), its directory made if
+    missing. It replaces `path` when the block ends, or is deleted if it raises."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    partial = path.with_name(path.name + ".tmp")
+    try:
+        with (open(partial, "wb") if binary
+              else open(partial, "w", encoding="utf-8", newline="")) as fh:
+            yield fh
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+
+
+def require_writable(name: str, path, directory: bool = False) -> None:
+    """Refuse an output path that cannot be written, before any work: an
+    existing directory given as a file (or a file given as a directory), or a
+    path under an existing file. `name` is the flag or config key that gave it."""
+    path = Path(path)
+    if path.exists():
+        if path.is_dir() != directory:
+            raise ValueError(f"{name} {path} cannot be written: it is "
+                             f"{'a directory' if path.is_dir() else 'a file'}")
+        return
+    # A path that does not exist has an ancestor that does: `.` or the root.
+    parent = next(p for p in path.parents if p.exists())
+    if not parent.is_dir():
+        raise ValueError(f"{name} {path} cannot be written: {parent} is a file")
 
 
 @dataclass(frozen=True)

@@ -222,6 +222,7 @@ class TrainingRun:
     def __init__(self, config: ExperimentConfig):
         # What the config alone refuses is refused before any file is read; a
         # config with no flows is refused by `load_materials`.
+        core.require_writable("out_dir", config.out_dir, directory=True)
         n = len(config.flows) + len(config.flow_profiles)
         if n and not -n <= config.holdout_index < n:
             raise ValueError(f"holdout_index {config.holdout_index} is outside [-{n}, {n}) "
@@ -274,10 +275,8 @@ class TrainingRun:
             "transitions": agent.transitions_seen,
         }
         self.rows.append(row)
-        # Opened for this row alone: the row is on disk when the validation
-        # ends, so an interrupted run keeps the validations it finished.
-        with open(self.metrics_path, "a", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerow([_format_cell(row[c]) for c in METRICS_COLUMNS])
+        # Rewritten whole: an interrupted run leaves no half-written row.
+        write_csv(self.metrics_path, METRICS_COLUMNS, self.rows)
         if val_tt < self.best_val_travel_time:
             self.best_val_travel_time = val_tt
             save_checkpoint(self.best_checkpoint, agent, self.meta)
@@ -430,9 +429,7 @@ def sotl_grid_search(spec: IntersectionSpec, flow: FlowDataset, thresholds,
 
 
 def write_csv(path, columns, rows) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with core.output_file(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         for row in rows:

@@ -841,3 +841,26 @@ def test_compare_refuses_a_half_with_no_trip_by_name_before_any_tick(tmp_path, m
                                          r"50 s$"):
         harness.compare(config)
     assert ticks == []
+
+
+@pytest.mark.parametrize("out_dir, shown", [("taken", "it is a file"),
+                                            ("taken/run", "{tmp}/taken is a file")],
+                         ids=["a-file", "under-a-file"])
+def test_a_run_refuses_an_out_dir_it_cannot_write_before_reading_any_input(
+        tmp_path, monkeypatch, out_dir, shown):
+    # It used to build the agent, the envs and the flows, then end in a bare
+    # FileExistsError as it wrote the metrics header.
+    (tmp_path / "taken").write_text("a file")
+    config = ExperimentConfig.from_file(
+        write_toy_config(tmp_path, out_dir=str(tmp_path / out_dir)))
+    before = sorted(tmp_path.rglob("*"))
+    read = []
+    monkeypatch.setattr(core, "read_document", lambda *args: read.append(args))
+    monkeypatch.setattr(core, "generate_flow", lambda **kwargs: read.append(kwargs))
+    with pytest.raises(ValueError, match=rf"^out_dir {re.escape(str(tmp_path / out_dir))} "
+                                         rf"cannot be written: "
+                                         rf"{re.escape(shown.format(tmp=tmp_path))}$"):
+        harness.run_training(config)
+    assert read == []
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / "taken").read_text() == "a file"
