@@ -48,7 +48,8 @@ class FixedTimeController:
 class RandomController:
     def __init__(self, spec: IntersectionSpec, seed: int = 0):
         self.n_phases = spec.n_phases
-        self.seed = seed
+        # random.Random(-s) is random.Random(s), so -s would repeat the run of s
+        self.seed = require_integer("seed", seed, 0)
         self.rng = random.Random(seed)
 
     def reset(self) -> None:

@@ -184,11 +184,13 @@ def cmd_genflow(args) -> int:
     core.require_integer("duration", args.duration, core.MIN_SPLIT_DURATION_S,
                          core.MAX_FLOW_DURATION_S)
     profile = core.parse_profile(args.profile)
-    flow = core.generate_flow(profile, seed=args.seed, duration=args.duration,
-                              label=Path(args.out).stem)
+    # The generator's rows go straight into the document, with no Vehicle or
+    # FlowDataset: generate_flow's records add nothing that the file holds.
+    rows = core.flow_rows(profile, seed=args.seed, duration=args.duration)
+    vehicles = [(k, spawn, movement) for k, (spawn, movement) in enumerate(rows)]
     with core.output_file(args.out) as fh:
-        fh.write(core.flow_to_json(flow))
-    print(f"wrote {len(flow.vehicles)} vehicles to {args.out}")
+        fh.write(core.format_flow(args.duration, Path(args.out).stem, vehicles))
+    print(f"wrote {len(rows)} vehicles to {args.out}")
     return 0
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import itertools
 import json
@@ -582,16 +583,20 @@ def check_flow_size(profile, duration: int) -> None:
         require_integer("n_lanes", profile.n_lanes, high=MAX_FLOW_VEHICLES)
 
 
-def generate_flow(profile, seed: int, duration: int, label: str = "") -> FlowDataset:
-    """Deterministic synthetic demand from a profile and a seed. A profile
-    that check_flow_size refuses is refused before generating, and a uniform
-    profile at rate 0 yields its empty flow without visiting a lane."""
+def flow_rows(profile, seed: int, duration: int) -> list[tuple[int, int]]:
+    """The `(spawn_time, movement)` pairs of deterministic synthetic demand from
+    a profile and a seed, sorted by spawn time (ties in the order generated).
+    A negative seed, and a profile that check_flow_size refuses, are refused
+    before generating; a uniform profile at rate 0 yields no row without
+    visiting a lane."""
     require_integer("duration", duration, 0)
+    # random.Random(-s) is random.Random(s), so -s would repeat the flow of s
+    require_integer("seed", seed, 0)
     check_flow_size(profile, duration)
     if isinstance(profile, UniformProfile) and profile.rate_per_lane == 0:
-        return FlowDataset(vehicles=(), duration=duration, label=label)
+        return []
     rng = random.Random(seed)
-    raw: list[tuple[int, int]] = []  # (spawn_time, lane)
+    raw: list[tuple[int, int]] = []  # (spawn_time, lane), lane k's movement being k
     if isinstance(profile, UniformProfile):
         for lane in range(profile.n_lanes):
             t = 0.0
@@ -601,12 +606,14 @@ def generate_flow(profile, seed: int, duration: int, label: str = "") -> FlowDat
                     break
                 raw.append((int(t), lane))
     else:  # a ClusteredProfile, since check_flow_size refuses any other type
-        lanes = list(range(len(profile.lane_weights)))
-        # What choices(weights=...) sums on every call, so the draws are the same.
+        # What choices(range(n), weights=...) draws on Python 3.10-3.13, without
+        # its per-call checks: __post_init__ already made the total positive
+        # and finite.
         cum_weights = list(itertools.accumulate(profile.lane_weights))
+        total, hi = cum_weights[-1] + 0.0, len(cum_weights) - 1
         start = 0.0
         while start < duration:
-            lane = rng.choices(lanes, cum_weights=cum_weights)[0]
+            lane = bisect.bisect(cum_weights, rng.random() * total, 0, hi)
             # within_gap > 0, so a platoon's spawns only grow: the first one
             # at or past the duration ends it.
             for k in range(profile.cluster_size):
@@ -617,7 +624,14 @@ def generate_flow(profile, seed: int, duration: int, label: str = "") -> FlowDat
             start += profile.inter_cluster_gap
 
     raw.sort(key=operator.itemgetter(0))
-    vehicles = tuple([Vehicle(k, spawn, lane) for k, (spawn, lane) in enumerate(raw)])
+    return raw
+
+
+def generate_flow(profile, seed: int, duration: int, label: str = "") -> FlowDataset:
+    """The flow of `flow_rows(profile, seed, duration)`, each vehicle's id its
+    index, with its refusals."""
+    rows = flow_rows(profile, seed, duration)
+    vehicles = tuple([Vehicle(k, spawn, lane) for k, (spawn, lane) in enumerate(rows)])
     return FlowDataset(vehicles=vehicles, duration=duration, label=label)
 
 
@@ -719,19 +733,25 @@ def flow_to_document(flow: FlowDataset) -> dict:
 
 
 def flow_to_json(flow: FlowDataset) -> str:
-    """The flow document as compact JSON on one line, as `json.dumps` would
-    write it, with each vehicle row formatted straight from its record. A
-    document has no body length, so a vehicle whose body length is not the
-    default is refused, naming it."""
+    """The flow document as `format_flow` writes it. A document has no body
+    length, so a vehicle whose body length is not the default is refused,
+    naming it."""
     for k, v in enumerate(flow.vehicles):
         if v.body_length != DEFAULT_BODY_LENGTH_M:
             raise ValueError(f"flow {flow.label!r}: vehicles[{k}] has a body length of "
                              f"{v.body_length} m; a flow document holds only the default "
                              f"{DEFAULT_BODY_LENGTH_M} m")
-    rows = ", ".join(['{"id": %d, "spawn_time_s": %d, "movement": %d}'
-                      % (v.id, v.spawn_time, v.movement_id) for v in flow.vehicles])
+    return format_flow(flow.duration, flow.label,
+                       [(v.id, v.spawn_time, v.movement_id) for v in flow.vehicles])
+
+
+def format_flow(duration: int, label: str, vehicles) -> str:
+    """The one writer of a flow document's text: compact JSON on one line, as
+    `json.dumps` would write the document, each vehicle row formatted straight
+    from its `(id, spawn_time, movement)` triple in `vehicles`."""
+    rows = ", ".join(['{"id": %d, "spawn_time_s": %d, "movement": %d}' % v for v in vehicles])
     return ('{"duration_s": %d, "label": %s, "vehicles": [%s]}'
-            % (flow.duration, json.dumps(flow.label), rows))
+            % (duration, json.dumps(label), rows))
 
 
 def _lane_weights(text: str) -> tuple[float, ...]:

@@ -132,7 +132,7 @@ def _read_flow_profiles(entries) -> list[dict]:
         for key in ("profile", "seed", "duration"):
             if key not in item:
                 raise ValueError(f"{where} lacks the {key!r} key")
-        core.require_integer(f"{where}.seed", item["seed"])
+        core.require_integer(f"{where}.seed", item["seed"], 0)
         core.require_integer(f"{where}.duration", item["duration"], core.MIN_SPLIT_DURATION_S,
                              core.MAX_FLOW_DURATION_S)
         if "label" in item and not isinstance(item["label"], str):

@@ -195,6 +195,12 @@ PROBES = (
           f"genflow --profile {UNIFORM_8} --seed 1 --duration 1 --out {{ws}}/short.json",
           ("ValueError: duration must be at least 2, got 1",),
           absent=("short.json",)),
+    # random.Random(-s) is random.Random(s), so a negative seed is refused by
+    # name; seed -5 used to write the flow of seed 5.
+    Probe("genflow-negative-seed",
+          f"genflow --profile {UNIFORM_8} --seed -5 --duration 600 --out {{ws}}/negative.json",
+          ("ValueError: seed must be non-negative, got -5",),
+          absent=("negative.json",)),
     # An episode in which no vehicle spawns is refused by its half's label
     # before any episode. A holdout whose vehicle spawns in its second half
     # has no validation trip: train used to leave a run directory holding only

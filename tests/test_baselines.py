@@ -81,6 +81,11 @@ class TestRandomController:
         ctrl.reset()
         assert [ctrl.decide(state) for _ in range(20)] == first
 
+    def test_negative_seed_is_refused(self, default_spec):
+        # random.Random(-2) is random.Random(2): seed -2 used to replay seed 2's run.
+        with pytest.raises(ValueError, match=r"^seed must be non-negative, got -2$"):
+            RandomController(default_spec, seed=-2)
+
 
 class TestCutoffController:
     def test_no_vehicles_never_switches(self, two_phase_spec):

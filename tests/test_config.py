@@ -186,6 +186,9 @@ def profile_entry(**changes):
     # int() used to generate seed 1 under the label ...@seedTrue
     pytest.param(profile_entry(seed=True),
                  r"flow_profiles\[1\]\.seed must be an integer, got True", id="seed-true"),
+    # random.Random(-5) is random.Random(5), so seed -5 used to give seed 5's flow
+    pytest.param(profile_entry(seed=-5),
+                 r"flow_profiles\[1\]\.seed must be non-negative, got -5$", id="seed-negative"),
     # int() used to give a 300 s flow
     pytest.param(profile_entry(duration=300.9),
                  r"flow_profiles\[1\]\.duration must be an integer, got 300\.9",

@@ -2,10 +2,13 @@
 result computed from it is the same as from an indented file."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_flow_cap import no_generation
 
 from trafficlab import cli, core, harness
 
@@ -58,14 +61,12 @@ def test_compare_reads_the_compact_and_the_indented_file_alike(tmp_path, default
 @pytest.mark.parametrize("profile, message", [
     ("uniform(rate_per_lane=0.05)", "uniform profile lacks n_lanes"),
     ("uniform(rate_per_lane=0.05,n_lanes=8,bogus=3)", "unknown uniform parameter 'bogus'"),
-    # generate_flow with this rate never ends (it is stubbed out here)
+    # generating at this rate never ends (it is stubbed out here)
     ("uniform(rate_per_lane=inf,n_lanes=8)", "rate_per_lane must be non-negative and finite"),
 ])
 def test_a_bad_profile_fails_before_any_file_is_written(tmp_path, profile, message,
                                                         monkeypatch):
-    def never(*args, **kwargs):
-        raise AssertionError("a bad profile must be refused before generate_flow runs")
-    monkeypatch.setattr(core, "generate_flow", never)
+    no_generation(monkeypatch)
     with pytest.raises(ValueError, match=message):
         genflow(tmp_path / "flow.json", profile, seed=1, duration=60)
     assert not (tmp_path / "flow.json").exists()
@@ -86,12 +87,18 @@ def test_a_duration_out_of_bounds_is_refused_before_any_flow_is_generated(
         tmp_path, duration, message, monkeypatch):
     # 0 and 1 used to write a flow of 0 vehicles that compare and eval refuse;
     # a duration past the cap was refused only after the flow was generated.
-    def never(*args, **kwargs):
-        raise AssertionError("a bad duration must be refused before generate_flow runs")
-    monkeypatch.setattr(core, "generate_flow", never)
+    no_generation(monkeypatch)
     with pytest.raises(ValueError, match=message):
         genflow(tmp_path / "flow.json", PROFILES[0], seed=1, duration=duration)
     assert not (tmp_path / "flow.json").exists()
+
+
+@pytest.mark.parametrize("generate", [core.flow_rows, core.generate_flow])
+def test_a_negative_seed_is_refused_before_generating(monkeypatch, generate):
+    # random.Random(-5) is random.Random(5): seed -5 used to give seed 5's flow.
+    no_generation(monkeypatch)
+    with pytest.raises(ValueError, match=r"^seed must be non-negative, got -5$"):
+        generate(core.UniformProfile(0.05, 8), seed=-5, duration=60)
 
 
 def test_the_shortest_flow_genflow_writes_splits_into_halves(tmp_path):
@@ -120,6 +127,45 @@ def test_flow_to_json_is_the_dumped_document(profile, seed, duration, label):
     # escaped as json.dumps escapes them.
     flow = core.generate_flow(profile, seed=seed, duration=duration, label=label)
     assert core.flow_to_json(flow) == json.dumps(core.flow_to_document(flow))
+
+
+def profile_literal(profile) -> str:
+    """The literal that `parse_profile` reads back as `profile`, each float
+    written by its repr."""
+    if isinstance(profile, core.UniformProfile):
+        return f"uniform(rate_per_lane={profile.rate_per_lane!r},n_lanes={profile.n_lanes})"
+    return (f"clustered(cluster_size={profile.cluster_size},"
+            f"inter_cluster_gap={profile.inter_cluster_gap!r},"
+            f"within_gap={profile.within_gap!r},"
+            f"lane_weights={':'.join(map(repr, profile.lane_weights))})")
+
+
+# File stems with quotes, backslashes and non-ASCII letters, which the label escapes.
+STEMS = st.text(st.sampled_from("ab -_'\"\\\u00e9\u00df\u6f22\u2028\U0001f600"),
+                min_size=1, max_size=12)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@example(profile=core.UniformProfile(0.0, 8), seed=3, duration=600, stem='q"b\\\u00e9')
+@example(profile=core.UniformProfile(0.05, 8), seed=7, duration=600, stem="north")
+@given(profile=PROFILE_RECORDS | st.builds(core.UniformProfile, rate_per_lane=st.just(0.0),
+                                           n_lanes=st.integers(1, 8)),
+       seed=st.integers(0, 2 ** 64), duration=st.integers(2, 600), stem=STEMS)
+def test_genflow_writes_the_generated_flow(profile, seed, duration, stem):
+    """`genflow` formats the generator's rows with no Vehicle or FlowDataset;
+    its file is the text of the flow `generate_flow` builds, byte for byte."""
+    literal = profile_literal(profile)
+    assert core.parse_profile(literal) == profile
+    idle = isinstance(profile, core.UniformProfile) and profile.rate_per_lane == 0
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        if idle:  # a rate of 0 writes its empty flow without drawing
+            no_generation(patch)
+        data = genflow(Path(tmp) / f"{stem}.json", literal, seed, duration).read_bytes()
+        flow = core.generate_flow(profile, seed=seed, duration=duration, label=stem)
+    assert data == core.flow_to_json(flow).encode("utf-8")
+    assert core.load_flow(data.decode("utf-8")) == flow
+    if idle:
+        assert flow.vehicles == () and data.endswith(b'"vehicles": []}')
 
 
 def test_both_writers_refuse_a_body_length_alike():

@@ -10,23 +10,14 @@ import hashlib
 import json
 
 import pytest
+from flow_digests import FLOW_FILE_DIGESTS, genflow_digest
 
-from trafficlab import cli, core, harness, sim
+from trafficlab import core, harness, sim
 from trafficlab.baselines import make_controller
 from trafficlab.harness import COMPARE_COLUMNS, ExperimentConfig
 
 COMPARE_DIGEST = "a12d31fba3302373dff2c0e482c036a9eadf20e44541ccd5a6447e48922d477a"
 TRACE_DIGEST = "a3ec6cecfaedf1bdf50bfc07235f5838426eef7bc571296ef64dc9bd869d179f"
-LIGHT = "uniform(rate_per_lane=0.03,n_lanes=8)"
-SATURATED = ("clustered(cluster_size=6,inter_cluster_gap=3,within_gap=1,"
-             "lane_weights=1:1:1:1:1:1:1:1)")
-# The three flow files of the benchmark's compare-grid workload at its seed 1.
-FLOW_FILE_DIGESTS = [
-    ("light1", LIGHT, 1001, "c430005f3a9c8be717444f4eceba8378adb8402017cac97464fd53e29235ff25"),
-    ("light2", LIGHT, 1002, "57943ea38f57e5fab7da8da6ceb192ee97c499dac2f85d283974e6d641813141"),
-    ("saturated1", SATURATED, 1003,
-     "087560a46d1633f78eaf76c36be04daf54c6e84f820aa3f26d4af8eab2246365"),
-]
 
 
 def sha256(data: bytes) -> str:
@@ -63,7 +54,4 @@ def test_sotl2_trajectory_digest(default_spec):
 @pytest.mark.parametrize("label, profile, seed, digest", FLOW_FILE_DIGESTS,
                          ids=[label for label, *_ in FLOW_FILE_DIGESTS])
 def test_genflow_file_digest(tmp_path, label, profile, seed, digest):
-    out = tmp_path / f"{label}.json"
-    assert cli.main(["genflow", "--profile", profile, "--seed", str(seed),
-                     "--duration", "3600", "--out", str(out)]) == 0
-    assert sha256(out.read_bytes()) == digest
+    assert genflow_digest(tmp_path / f"{label}.json", profile, seed) == digest
