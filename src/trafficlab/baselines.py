@@ -29,7 +29,7 @@ class SotlParams:
 
     def __post_init__(self):
         require_finite("threshold", self.threshold)
-        require_integer("cluster_split", self.cluster_split)
+        require_integer("cluster_split", self.cluster_split, 0)
         require_integer("min_green", self.min_green, 1)
         require_finite("detection_distance", self.detection_distance)
 
@@ -61,20 +61,24 @@ class RandomController:
 
 class _ThresholdController:
     """What the two threshold schemes share: their parameters, each phase's
-    lanes (the spec's `phase_lanes`) and the detectors, read in one walk per
-    lane (see `_walk`)."""
+    lanes and each lane's phases (the spec's `phase_lanes` and `lane_phases`),
+    and the detectors, read in one walk per lane that adds each unserved
+    lane's count straight into the controller's integrals (see `_walk`)."""
 
     def __init__(self, spec: IntersectionSpec, params: SotlParams | None = None):
         self.spec = spec
         self.params = params or SotlParams()
         self._phase_lanes = spec.phase_lanes
+        self._lane_phases = spec.lane_phases
         self._edges = _edges(spec, self.params.detection_distance)
         # While yellow runs no lane is served.
         self._unserved = [False] * spec.n_lanes
         self._last = [0] * spec.n_lanes
 
-    def _detect(self, state: SimState, near_green: bool):
-        """`_walk`'s counts and approaching vehicles, and the seconds of green."""
+    def _detect(self, state: SimState, lane_sums, phase_sums, near_green: bool):
+        """Adds the detectors' counts into the sums (see `_walk`); returns the
+        approaching vehicles in range of the served lanes and the seconds of
+        green."""
         sig = state.signal
         # A decision mid-yellow would be ignored by the environment, so no lane
         # is served and the phase clock reads 0 until the pending phase lands.
@@ -82,8 +86,9 @@ class _ThresholdController:
             served, phase_green = self._unserved, 0
         else:
             served, phase_green = self.spec.lane_green[sig.current_phase], sig.time_in_phase
-        counts, approaching = _walk(state.lanes, self._edges, served, self._last, near_green)
-        return counts, approaching, phase_green
+        approaching = _walk(state.lanes, self._edges, served, self._last, near_green,
+                            lane_sums, phase_sums, self._lane_phases)
+        return approaching, phase_green
 
     def reset(self) -> None:
         self._last = [0] * self.spec.n_lanes
@@ -96,7 +101,6 @@ class CutoffController(_ThresholdController):
     def __init__(self, spec: IntersectionSpec, params: SotlParams | None = None):
         super().__init__(spec, params)
         self.phase_integral = [0.0] * spec.n_phases
-        self._lane_phases = spec.lane_phases
 
     def reset(self) -> None:
         super().reset()
@@ -105,40 +109,48 @@ class CutoffController(_ThresholdController):
     def step(self, red_lane_counts, current_phase: int, phase_green_seconds: int) -> int:
         """Pure counter logic; red_lane_counts[j] must be 0 for green lanes.
 
-        Each non-zero count is added to every phase that serves its lane; with
-        int counts this equals adding each phase's lane sum at once."""
+        Each non-zero count is added to every phase that serves its lane, as
+        `decide`'s walk adds it; with int counts this equals adding each
+        phase's lane sum at once."""
+        _integrate(red_lane_counts, None, self.phase_integral, self._lane_phases)
+        return self._switch(current_phase, phase_green_seconds)
+
+    def decide(self, state: SimState) -> int:
+        _, phase_green = self._detect(state, None, self.phase_integral, False)
+        return self._switch(state.signal.current_phase, phase_green)
+
+    def _switch(self, current_phase: int, phase_green_seconds: int) -> int:
         integral = self.phase_integral
-        for c, phases in zip(red_lane_counts, self._lane_phases):
-            if c:
-                for i in phases:
-                    integral[i] += c
         nxt = (current_phase + 1) % self.spec.n_phases
         if phase_green_seconds > self.params.min_green and integral[nxt] > self.params.threshold:
             integral[nxt] = 0.0
             return nxt
         return current_phase
 
-    def decide(self, state: SimState) -> int:
-        counts, _, phase_green = self._detect(state, False)
-        return self.step(counts, state.signal.current_phase, phase_green)
-
 
 class MaxIntegralController(_ThresholdController):
     """Acyclic threshold scheme using per-lane integrals so that serving a lane
-    clears its demand from every phase that shares it."""
+    clears its demand from every phase that shares it.
+
+    Each phase's pressure, the sum of its lanes' integrals, is kept current:
+    a count is added to its lane's integral and to every phase that serves
+    the lane, and a lane zeroed by a switch has its integral taken off every
+    such phase. Counts are ints and every value an integer-valued float far
+    below 2^53, so the kept pressures are exactly the re-summed ones."""
 
     def __init__(self, spec: IntersectionSpec, params: SotlParams | None = None):
         super().__init__(spec, params)
         self.lane_integral = [0.0] * spec.n_lanes
+        self._pressure = [0.0] * spec.n_phases
 
     def reset(self) -> None:
         super().reset()
         self.lane_integral = [0.0] * self.spec.n_lanes
+        self._pressure = [0.0] * self.spec.n_phases
 
     def phase_integrals(self) -> list[float]:
-        """Per phase, the sum of its lanes' integrals, in frozenset order."""
-        get = self.lane_integral.__getitem__
-        return [sum(map(get, lanes)) for lanes in self._phase_lanes]
+        """Per phase, the sum of its lanes' integrals: the kept pressures."""
+        return list(self._pressure)
 
     def step(self, lane_counts, vehicles_near_green: int, current_phase: int,
              phase_green_seconds: int) -> int:
@@ -150,30 +162,32 @@ class MaxIntegralController(_ThresholdController):
         winning phase is the integral argmax (lowest index on ties) and the
         integrals of its lanes reset to zero. Zero counts are not added.
         """
-        integral = self.lane_integral
-        for j, c in enumerate(lane_counts):
-            if c:
-                integral[j] += c
-        if phase_green_seconds <= self.params.min_green:
-            return current_phase
-        if 0 < vehicles_near_green < self.params.cluster_split:
-            return current_phase
-        kappa = self.phase_integrals()
-        best = 0
-        for i in range(1, len(kappa)):
-            if kappa[i] > kappa[best]:
-                best = i
-        if kappa[best] <= self.params.threshold:
-            return current_phase
-        for j in self._phase_lanes[best]:
-            integral[j] = 0.0
-        return best
+        _integrate(lane_counts, self.lane_integral, self._pressure, self._lane_phases)
+        return self._switch(vehicles_near_green, current_phase, phase_green_seconds)
 
     def decide(self, state: SimState) -> int:
         # Vehicles passing a green light are being served, not waiting; the
         # approaching ones in range are the platoon the guard protects.
-        counts, near_green, phase_green = self._detect(state, True)
-        return self.step(counts, near_green, state.signal.current_phase, phase_green)
+        near_green, phase_green = self._detect(state, self.lane_integral, self._pressure, True)
+        return self._switch(near_green, state.signal.current_phase, phase_green)
+
+    def _switch(self, vehicles_near_green: int, current_phase: int,
+                phase_green_seconds: int) -> int:
+        if phase_green_seconds <= self.params.min_green:
+            return current_phase
+        if 0 < vehicles_near_green < self.params.cluster_split:
+            return current_phase
+        pressure = self._pressure
+        top = max(pressure)
+        if top <= self.params.threshold:
+            return current_phase
+        best = pressure.index(top)
+        integral, lane_phases = self.lane_integral, self._lane_phases
+        for j in self._phase_lanes[best]:
+            for i in lane_phases[j]:
+                pressure[i] -= integral[j]
+            integral[j] = 0.0
+        return best
 
 
 def _edges(spec: IntersectionSpec, detection_distance: float) -> list[float]:
@@ -181,26 +195,39 @@ def _edges(spec: IntersectionSpec, detection_distance: float) -> list[float]:
     return [lane.length_m - detection_distance for lane in spec.lanes]
 
 
-def _walk(lanes, edges, served, last, near_green: bool) -> tuple[list[int], int]:
+def _integrate(counts, lane_sums, phase_sums, lane_phases) -> None:
+    """`_walk`'s rule for counts given: each non-zero count is added to its
+    lane's sum (if `lane_sums` is not None) and to `phase_sums[i]` for every
+    phase i in its lane's `lane_phases`."""
+    for j, c in enumerate(counts):
+        if c:
+            if lane_sums is not None:
+                lane_sums[j] += c
+            for i in lane_phases[j]:
+                phase_sums[i] += c
+
+
+def _walk(lanes, edges, served, last, near_green: bool, lane_sums, phase_sums,
+          lane_phases) -> int:
     """The detectors in one walk per lane, front first up to the detection edge.
 
-    Returns per lane the vehicles in detection range, 0 on a served lane, and,
-    if `near_green`, the approaching vehicles in range of the served lanes.
-    Lanes are front first with falling positions, so an unserved lane's count
-    is the index of its first vehicle behind the edge. The lane's count in
-    `last` is reused unwalked when the vehicle before that index is in range
-    and the one at it is not (or the lane ends there). That test reads only the
-    lane as it is, so edits from outside and other states are counted right.
+    Each unserved lane's count, its vehicles in detection range, is added as
+    `_integrate` adds it: to `lane_sums[j]` (if `lane_sums` is not None) and
+    to `phase_sums[i]` for every i in `lane_phases[j]`; a served lane counts 0.
+    Returns, if `near_green`, the approaching vehicles in range of the served
+    lanes, else 0. Lanes are front first with falling positions, so an
+    unserved lane's count is the index of its first vehicle behind the edge.
+    The lane's count in `last` is reused unwalked when the vehicle before that
+    index is in range and the one at it is not (or the lane ends there). That
+    test reads only the lane as it is, so edits from outside and other states
+    are counted right.
     """
-    counts = []
     approaching = 0
     for j, lane in enumerate(lanes):
         if not lane:
-            counts.append(0)
             continue
         edge = edges[j]
         if served[j]:
-            counts.append(0)
             if near_green:
                 for veh in lane:
                     if not veh.position >= edge:
@@ -217,22 +244,29 @@ def _walk(lanes, edges, served, last, near_green: bool) -> tuple[list[int], int]
                     break
                 n += 1
             last[j] = n
-        counts.append(n)
-    return counts, approaching
+        if n:
+            if lane_sums is not None:
+                lane_sums[j] += n
+            for i in lane_phases[j]:
+                phase_sums[i] += n
+    return approaching
 
 
 def _detection_counts(state: SimState, detection_distance: float) -> list[int]:
     """Vehicles (moving or waiting) within detection range of each stop line."""
     n = len(state.lanes)
-    edges = _edges(state.spec, detection_distance)
-    return _walk(state.lanes, edges, [False] * n, [0] * n, False)[0]
+    counts = [0] * n
+    _walk(state.lanes, _edges(state.spec, detection_distance), [False] * n, [0] * n, False,
+          counts, None, [()] * n)
+    return counts
 
 
 def _approaching_near_line(state: SimState, lanes, detection_distance: float) -> int:
     """Approaching vehicles within detection range of the stop lines of `lanes`."""
-    served = [j in lanes for j in range(len(state.lanes))]
-    edges = _edges(state.spec, detection_distance)
-    return _walk(state.lanes, edges, served, [0] * len(served), True)[1]
+    n = len(state.lanes)
+    served = [j in lanes for j in range(n)]
+    return _walk(state.lanes, _edges(state.spec, detection_distance), served, [0] * n, True,
+                 None, None, [()] * n)
 
 
 # Each baseline's name and its builder from (spec, sotl, seed).

@@ -294,7 +294,7 @@ class IntersectionSpec:
         return self.phase_lanes[phase_id]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Vehicle:
     id: int
     spawn_time: int

@@ -318,6 +318,8 @@ def compare(config: ExperimentConfig):
     Returns rows shaped like the output CSV: controller, flow, split,
     avg_travel_time_s.
     """
+    # Refused before any file is read, whichever controllers are listed.
+    core.require_integer("seed", config.seed, 0)
     spec, flows = load_materials(config)
     sotl = SotlParams(**config.sotl)
     halves = [(flow.label, core.split_halves(flow)) for flow in flows]

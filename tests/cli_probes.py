@@ -201,6 +201,13 @@ PROBES = (
           f"genflow --profile {UNIFORM_8} --seed -5 --duration 600 --out {{ws}}/negative.json",
           ("ValueError: seed must be non-negative, got -5",),
           absent=("negative.json",)),
+    # compare refuses a negative seed before it reads any file, whichever
+    # controllers are listed; with only "fixed" it used to run.
+    Probe("compare-negative-seed",
+          "compare --config {ws}/negative-seed-config.json --out {ws}/negative-seed.csv",
+          ("ValueError: seed must be non-negative, got -1",),
+          files={"negative-seed-config.json": dict(compare_config("flow.json"), seed=-1)},
+          absent=("negative-seed.csv",)),
     # An episode in which no vehicle spawns is refused by its half's label
     # before any episode. A holdout whose vehicle spawns in its second half
     # has no validation trip: train used to leave a run directory holding only

@@ -6,6 +6,7 @@ import pytest
 
 from trafficlab import core, harness
 from trafficlab.agents import DQNAgent, DQNConfig, save_checkpoint
+from trafficlab.baselines import SotlParams
 from trafficlab.env import observation_dim
 from trafficlab.harness import ExperimentConfig
 
@@ -382,3 +383,30 @@ def test_a_replay_memory_above_the_cap_is_refused_before_the_first_validation(
     with pytest.raises(ValueError, match=r"^replay_capacity 1000000000000 needs .* GiB"):
         harness.run_training(config)
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("controllers", [["fixed"], ["random"], ["sotl2", "random"]])
+def test_compare_refuses_a_negative_seed_before_reading_any_file(tmp_path, two_phase_spec,
+                                                                 monkeypatch, controllers):
+    # with only deterministic controllers, seed -1 used to run; with `random`
+    # listed it was refused only after the spec and every flow had been read
+    (tmp_path / "flow.json").write_text(core.flow_to_json(core.generate_flow(
+        core.parse_profile(UNIFORM), seed=1, duration=300)))
+    config = write_config(tmp_path, two_phase_spec, seed=-1, controllers=controllers,
+                          flows=["flow.json"], flow_profiles=[
+                              {"profile": UNIFORM, "seed": 2, "duration": 300}])
+    calls = []
+    for name in ("generate_flow", "load_intersection", "load_flow"):
+        monkeypatch.setattr(core, name, lambda *args, name=name, **kw: calls.append(name))
+    with pytest.raises(ValueError, match=r"^seed must be non-negative, got -1$"):
+        harness.compare(config)
+    assert calls == []
+
+
+def test_a_negative_cluster_split_is_refused_by_name(tmp_path, two_phase_spec):
+    # SotlParams(cluster_split=-4) used to load and act as 0
+    with pytest.raises(ValueError, match=r"^cluster_split must be non-negative, got -4$"):
+        SotlParams(cluster_split=-4)
+    with pytest.raises(ValueError, match=r"^sotl\.cluster_split must be non-negative, got -1$"):
+        write_config(tmp_path, two_phase_spec, sotl={"cluster_split": -1})
+    assert SotlParams(cluster_split=0).cluster_split == 0
