@@ -161,6 +161,8 @@ class MaxIntegralController(_ThresholdController):
         cluster_split), and some phase integral to exceed the threshold. The
         winning phase is the integral argmax (lowest index on ties) and the
         integrals of its lanes reset to zero. Zero counts are not added.
+        Counts are ints, as the detectors give them: with fractional counts
+        the kept pressures can differ from re-summed ones by rounding.
         """
         _integrate(lane_counts, self.lane_integral, self._pressure, self._lane_phases)
         return self._switch(vehicles_near_green, current_phase, phase_green_seconds)
