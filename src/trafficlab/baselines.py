@@ -50,7 +50,7 @@ class RandomController:
         self.n_phases = spec.n_phases
         # random.Random(-s) is random.Random(s), so -s would repeat the run of s
         self.seed = require_integer("seed", seed, 0)
-        self.rng = random.Random(seed)
+        self.reset()
 
     def reset(self) -> None:
         self.rng = random.Random(self.seed)
@@ -73,7 +73,7 @@ class _ThresholdController:
         self._edges = _edges(spec, self.params.detection_distance)
         # While yellow runs no lane is served.
         self._unserved = [False] * spec.n_lanes
-        self._last = [0] * spec.n_lanes
+        self.reset()
 
     def _detect(self, state: SimState, lane_sums, phase_sums, near_green: bool):
         """Adds the detectors' counts into the sums (see `_walk`); returns the
@@ -98,10 +98,6 @@ class CutoffController(_ThresholdController):
     """Cyclic threshold scheme: integrate red-lane vehicle counts per phase and
     advance to the next phase once its integral exceeds the threshold."""
 
-    def __init__(self, spec: IntersectionSpec, params: SotlParams | None = None):
-        super().__init__(spec, params)
-        self.phase_integral = [0.0] * spec.n_phases
-
     def reset(self) -> None:
         super().reset()
         self.phase_integral = [0.0] * self.spec.n_phases
@@ -110,8 +106,8 @@ class CutoffController(_ThresholdController):
         """Pure counter logic; red_lane_counts[j] must be 0 for green lanes.
 
         Each non-zero count is added to every phase that serves its lane, as
-        `decide`'s walk adds it; with int counts this equals adding each
-        phase's lane sum at once."""
+        `decide`'s walk adds it; this equals adding each phase's lane sum
+        at once."""
         _integrate(red_lane_counts, None, self.phase_integral, self._lane_phases)
         return self._switch(current_phase, phase_green_seconds)
 
@@ -138,11 +134,6 @@ class MaxIntegralController(_ThresholdController):
     such phase. Counts are ints and every value an integer-valued float far
     below 2^53, so the kept pressures are exactly the re-summed ones."""
 
-    def __init__(self, spec: IntersectionSpec, params: SotlParams | None = None):
-        super().__init__(spec, params)
-        self.lane_integral = [0.0] * spec.n_lanes
-        self._pressure = [0.0] * spec.n_phases
-
     def reset(self) -> None:
         super().reset()
         self.lane_integral = [0.0] * self.spec.n_lanes
@@ -161,8 +152,6 @@ class MaxIntegralController(_ThresholdController):
         cluster_split), and some phase integral to exceed the threshold. The
         winning phase is the integral argmax (lowest index on ties) and the
         integrals of its lanes reset to zero. Zero counts are not added.
-        Counts are ints, as the detectors give them: with fractional counts
-        the kept pressures can differ from re-summed ones by rounding.
         """
         _integrate(lane_counts, self.lane_integral, self._pressure, self._lane_phases)
         return self._switch(vehicles_near_green, current_phase, phase_green_seconds)
@@ -200,7 +189,13 @@ def _edges(spec: IntersectionSpec, detection_distance: float) -> list[float]:
 def _integrate(counts, lane_sums, phase_sums, lane_phases) -> None:
     """`_walk`'s rule for counts given: each non-zero count is added to its
     lane's sum (if `lane_sums` is not None) and to `phase_sums[i]` for every
-    phase i in its lane's `lane_phases`."""
+    phase i in its lane's `lane_phases`. The counts must be one non-negative
+    integer per lane, as the detectors give them, so the sums stay exact."""
+    if len(counts) != len(lane_phases):
+        raise ValueError(f"counts must have {len(lane_phases)} entries, one per lane, "
+                         f"got {len(counts)}")
+    for j, c in enumerate(counts):  # all checked first, so a refusal adds nothing
+        require_integer(f"counts[{j}]", c, 0)
     for j, c in enumerate(counts):
         if c:
             if lane_sums is not None:

@@ -320,6 +320,8 @@ def compare(config: ExperimentConfig):
     """
     # Refused before any file is read, whichever controllers are listed.
     core.require_integer("seed", config.seed, 0)
+    if not config.controllers:
+        raise ValueError("config names no controllers")
     spec, flows = load_materials(config)
     sotl = SotlParams(**config.sotl)
     halves = [(flow.label, core.split_halves(flow)) for flow in flows]

@@ -1,21 +1,28 @@
-"""The command-line refusal probes: one table, run in process and through the script.
+"""The console-script runs: one smoke run and one table of refusal probes,
+run in process and through the script.
+
+`build_workspace` is the smoke run. It runs every subcommand on small inputs,
+each call within the 30 s timeout, checks each output and raises on the first
+that is wrong. What it writes is the workspace that every row reads.
 
 Each row is one `trafficlab` invocation that must be refused: exit status 1,
 stderr holding each of the row's fragments, none of its `absent` paths, and
 no new file anywhere in the workspace. A row writes its own input files on
-top of one workspace per session, which `build_workspace` makes with
-`genspec`, `genflow` and `train`. "{ws}" in an argv, a fragment or an input
-stands for the workspace directory.
+top of the workspace, which is made once per session. "{ws}" in an argv, a
+fragment or an input stands for the workspace directory.
 
-The rows run in two ways:
-- `tests/test_cli_probes.py` runs each row in process through `cli.main`,
-  where exit status 1 means a raised `ValueError`. A row with a timeout or an
-  address-space cap runs as a `python -m trafficlab.cli` child under them.
-- `python tests/cli_probes.py` runs every row through the installed
-  `trafficlab` script, capped rows under their caps, and exits 1 if any row
+Both run in two ways:
+- `tests/test_cli_probes.py` makes the workspace in process through
+  `cli.main`, and runs each row the same way, where exit status 1 means a
+  raised `ValueError`. A row with a timeout or an address-space cap runs as a
+  `python -m trafficlab.cli` child under them.
+- `python tests/cli_probes.py` makes the workspace and runs every row through
+  the installed `trafficlab` script, each smoke call under the timeout and
+  capped rows under their caps, and exits 1 if the smoke run or any row
   fails.
 
-Adding a probe means adding a row here; both ways then run it.
+Adding a smoke check means adding it to `build_workspace`, and adding a probe
+means adding a row here; both ways then run it.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -208,6 +216,14 @@ PROBES = (
           ("ValueError: seed must be non-negative, got -1",),
           files={"negative-seed-config.json": dict(compare_config("flow.json"), seed=-1)},
           absent=("negative-seed.csv",)),
+    # compare refuses a config that names no controllers before it reads any
+    # file, as it refuses one that names no flows; it used to read them all
+    # and write a header-only CSV.
+    Probe("compare-no-controllers",
+          "compare --config {ws}/no-controllers-config.json --out {ws}/no-controllers.csv",
+          ("ValueError: config names no controllers",),
+          files={"no-controllers-config.json": dict(compare_config("flow.json"), controllers=[])},
+          absent=("no-controllers.csv",)),
     # An episode in which no vehicle spawns is refused by its half's label
     # before any episode. A holdout whose vehicle spawns in its second half
     # has no validation trip: train used to leave a run directory holding only
@@ -261,24 +277,116 @@ PROBES = (
 )
 
 
+# The smoke run's configs; their paths are relative to the config, as every
+# config path is.
+SMOKE_INPUTS = {
+    "config.json": {"intersection": "spec.json", "flows": ["flow.json"],
+                    "controllers": ["fixed", "sotl2"], "horizon": 120},
+    "sub/train.json": {"intersection": "../spec.json", "flows": ["../flow.json"],
+                       "total_epochs": 0, "out_dir": "run"},
+    "train.json": {"intersection": "spec.json", "flows": ["flow.json"], "total_epochs": 0},
+    **{f"train-{process}.json": {"intersection": "spec.json", "flows": ["flow.json"],
+                                 "total_epochs": 1, "process": process,
+                                 "dqn": {"batch_size": 8}}
+       for process in ("mdp", "smdp")},
+    "sweep-train.json": {"intersection": "two-phase.json", "flows": ["flow4.json"],
+                         "total_epochs": 0, "dqn": {"batch_size": 8}},
+}
+
+
 def build_workspace(ws: Path, run) -> None:
-    """The inputs every row may read, made as CI's smoke run makes them: the
-    default spec and an 8-lane flow with a 0-epoch run's `run/best.npz`, and
-    the two-phase spec and a 4-lane flow with `run-sweep/best.npz`. `run`
-    runs one argv of `trafficlab` and raises if it fails."""
-    write_inputs(ws, {
-        "train.json": {"intersection": "spec.json", "flows": ["flow.json"], "total_epochs": 0},
-        "sweep-train.json": {"intersection": "two-phase.json", "flows": ["flow4.json"],
-                             "total_epochs": 0, "dqn": {"batch_size": 8}},
-    })
-    for argv in ("genspec --kind default --out {ws}/spec.json",
-                 f"genflow --profile {UNIFORM_8} --seed 1 --duration 600 --out {{ws}}/flow.json",
-                 "train --config {ws}/train.json --out {ws}/run",
-                 "genspec --kind two-phase --out {ws}/two-phase.json",
-                 "genflow --profile 'uniform(rate_per_lane=0.05,n_lanes=4)' --seed 1 "
-                 "--duration 600 --out {ws}/flow4.json",
-                 "train --config {ws}/sweep-train.json --out {ws}/run-sweep"):
-        run(split(argv, ws))
+    """The smoke run: every subcommand of the script on small inputs, each
+    output checked. It leaves the inputs every row may read: the default spec
+    and an 8-lane flow with a 0-epoch run's `run/best.npz`, and the two-phase
+    spec and a 4-lane flow with `run-sweep/best.npz`. `run` runs one argv of
+    `trafficlab` and returns its exit status. A status other than 0, a call
+    longer than the 30 s timeout or an output that is not as it should be
+    raises an AssertionError that names it."""
+    def trafficlab(argv: str) -> None:
+        start = time.monotonic()
+        status = run(split(argv, ws))
+        seconds = time.monotonic() - start
+        expect(status == 0, f"exit status {status}: trafficlab {argv}")
+        expect(seconds <= TIMEOUT_S,
+               f"{seconds:.0f} s, over the {TIMEOUT_S} s timeout: trafficlab {argv}")
+
+    def document(name: str):
+        return json.loads((ws / name).read_text(encoding="utf-8"))
+
+    def lines(name: str) -> int:  # as `wc -l` counts them
+        return (ws / name).read_bytes().count(b"\n")
+
+    (ws / "sub").mkdir()
+    write_inputs(ws, SMOKE_INPUTS)
+    # genspec and genflow run on the stdlib alone.
+    trafficlab("genspec --kind default --out {ws}/spec.json")
+    trafficlab(f"genflow --profile {UNIFORM_8} --seed 1 --duration 600 --out {{ws}}/flow.json")
+    expect(len(document("spec.json")["lanes"]) == 8
+           and {v["movement"] for v in document("flow.json")["vehicles"]} == set(range(8)),
+           "spec.json and flow.json are not the 8-lane spec and flow")
+    # A platoon ends at its first spawn past the duration, so a huge
+    # cluster_size costs only the 60 vehicles it yields; the platoon loop used
+    # to run all cluster_size steps and hit the timeout.
+    trafficlab("genflow --profile 'clustered(cluster_size=100000000,inter_cluster_gap=60,"
+               "within_gap=1,lane_weights=1:1)' --seed 1 --duration 60 --out {ws}/platoon.json")
+    vehicles = len(document("platoon.json")["vehicles"])
+    expect(vehicles == 60, f"platoon.json holds {vehicles} vehicles, not 60")
+    # compare is the first command to import the numpy modules, so a broken
+    # deferred import fails here.
+    trafficlab("compare --config {ws}/config.json --out {ws}/compare.csv")
+    expect(lines("compare.csv") == 5, f"compare.csv has {lines('compare.csv')} lines, not 5")
+    # out_dir is relative to the config, like its other paths; it used to be
+    # relative to the working directory, so this wrote {ws}/run.
+    cwd = os.getcwd()
+    os.chdir(ws)
+    try:
+        trafficlab("train --config sub/train.json")
+    finally:
+        os.chdir(cwd)
+    expect((ws / "sub/run/metrics.csv").is_file() and not (ws / "run").exists(),
+           "train --config sub/train.json did not write sub/run/metrics.csv alone")
+    # With total_epochs 0, train validates once and writes best.npz, which
+    # eval reads back.
+    trafficlab("train --config {ws}/train.json --out {ws}/run")
+    trafficlab("eval --checkpoint {ws}/run/best.npz --flow {ws}/flow.json --split test")
+    # One epoch at batch 8 runs the transition loop under each process:
+    # metrics.csv gets its header, the first validation and the last.
+    for process in ("mdp", "smdp"):
+        trafficlab(f"train --config {{ws}}/train-{process}.json --out {{ws}}/run-{process}")
+        metrics = f"run-{process}/metrics.csv"
+        expect(lines(metrics) == 3, f"{metrics} has {lines(metrics)} lines, not 3")
+    # sweep reads a checkpoint as eval and compare do: a 0-epoch run on the
+    # two-phase spec writes best.npz, and a grid of 4 x 4 cells gives 16 rows
+    # under the header.
+    trafficlab("genspec --kind two-phase --out {ws}/two-phase.json")
+    trafficlab("genflow --profile 'uniform(rate_per_lane=0.05,n_lanes=4)' --seed 1 "
+               "--duration 600 --out {ws}/flow4.json")
+    trafficlab("train --config {ws}/sweep-train.json --out {ws}/run-sweep")
+    trafficlab("sweep --checkpoint {ws}/run-sweep/best.npz --grid-max 3 --out {ws}/sweep.csv")
+    expect(lines("sweep.csv") == 17, f"sweep.csv has {lines('sweep.csv')} lines, not 17")
+    # genflow writes each vehicle row straight from the generator's rows: the
+    # file is json.dumps of the document it loads as, byte for byte, and a
+    # stem with a quote and a non-ASCII letter is its label, escaped.
+    trafficlab("genflow --seed 3 --out '{ws}/sat\"\u00e9.json' --profile "
+               "'clustered(cluster_size=6,inter_cluster_gap=3,within_gap=1,"
+               "lane_weights=1:1:1:1:1:1:1:1)'")
+    from trafficlab import core
+
+    path = ws / "sat\"\u00e9.json"
+    text = path.read_text(encoding="utf-8")
+    flow = core.load_flow(text)
+    expect(text == json.dumps(core.flow_to_document(flow)),
+           f"{path.name} is not the dumped document")
+    expect(flow.label == path.stem, f"label {flow.label!r} is not the stem {path.stem!r}")
+    # Every output is written to <name>.tmp and renamed over its target, so
+    # no command leaves a temp file behind.
+    temps = sorted(str(p.relative_to(ws)) for p in ws.rglob("*.tmp"))
+    expect(temps == [], f"temp files left: {temps}")
+
+
+def expect(ok: bool, problem: str) -> None:
+    if not ok:
+        raise AssertionError(f"smoke run: {problem}")
 
 
 def split(argv: str, ws: Path) -> list[str]:
@@ -352,7 +460,8 @@ def in_child(command, argv: list[str], probe: Probe) -> tuple[int, str]:
 
 
 def main() -> int:
-    """Every row through the installed `trafficlab` script."""
+    """The smoke run and every row through the installed `trafficlab` script,
+    each smoke call under the 30 s timeout."""
     script = shutil.which("trafficlab")
     if script is None:
         print("no trafficlab script on PATH", file=sys.stderr)
@@ -360,8 +469,13 @@ def main() -> int:
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
         ws = Path(tmp)
-        build_workspace(ws, lambda argv: subprocess.run(
-            [script, *argv], check=True, stdout=subprocess.DEVNULL))
+        try:
+            build_workspace(ws, lambda argv: subprocess.run(
+                [script, *argv], stdout=subprocess.DEVNULL, timeout=TIMEOUT_S).returncode)
+        except (AssertionError, subprocess.TimeoutExpired) as exc:
+            print(f"FAIL smoke run\n    {exc}")
+            return 1
+        print("ok   smoke run")
         for probe in PROBES:
             problems = run(probe, ws, [script])
             print(f"{'FAIL' if problems else 'ok  '} {probe.name}")

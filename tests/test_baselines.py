@@ -523,3 +523,32 @@ def test_argmax_tie_keeps_the_lowest_phase():
     assert ctrl.step([9, 0, 0], 0, 2, 5) == 0
     ctrl.reset()
     assert ctrl.step([0, 0, 9], 0, 2, 5) == 2
+
+
+# Each malformed count list and its refusal on the 4-lane two-phase spec.
+# [3] used to integrate lane 0 alone, a fifth count to end in a bare
+# IndexError, -4 to make a lane integral -4.0, True to count as 1, "2" to end
+# in a bare TypeError and 0.5 to make the kept pressures drift from re-summed
+# ones.
+MALFORMED_COUNTS = {
+    "short": ([3], r"^counts must have 4 entries, one per lane, got 1$"),
+    "long": ([0, 0, 0, 0, 5], r"^counts must have 4 entries, one per lane, got 5$"),
+    "negative": ([-4, 0, 0, 0], r"^counts\[0\] must be non-negative, got -4$"),
+    "bool": ([True, 0, 0, 0], r"^counts\[0\] must be an integer, got True$"),
+    "text": (["2", 0, 0, 0], r"^counts\[0\] must be an integer, got '2'$"),
+    "fraction": ([0.5, 0, 0, 0], r"^counts\[0\] must be an integer, got 0\.5$"),
+    "after-a-good-count": ([3, -1, 0, 0], r"^counts\[1\] must be non-negative, got -1$"),
+}
+
+
+@pytest.mark.parametrize("name", ["sotl1", "sotl2"])
+@pytest.mark.parametrize("case", MALFORMED_COUNTS)
+def test_step_refuses_malformed_counts_and_adds_nothing(two_phase_spec, name, case):
+    counts, message = MALFORMED_COUNTS[case]
+    ctrl = make_controller(name, two_phase_spec)
+    rest = (0, 0) if name == "sotl1" else (0, 0, 0)  # phase 0 at 0 s of green: no switch
+    ctrl.step([2, 0, 1, 0], *rest)
+    before = exact_state(ctrl)
+    with pytest.raises(ValueError, match=message):
+        ctrl.step(counts, *rest)
+    assert exact_state(ctrl) == before != exact_state(make_controller(name, two_phase_spec))

@@ -1,6 +1,9 @@
-"""The refusal-probe table of `cli_probes`, run in process, and CI kept free
-of refusal probes outside it."""
+"""The console-script runs of `cli_probes`, run in process: the smoke run
+that makes the workspace, then each row of the refusal-probe table. CI is
+kept free of `trafficlab` runs outside the table's step, and the smoke run
+runs every subcommand."""
 
+import argparse
 import re
 from pathlib import Path
 
@@ -13,10 +16,23 @@ WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "test
 
 
 @pytest.fixture(scope="session")
-def probe_workspace(tmp_path_factory):
+def smoke_run(tmp_path_factory):
+    """The workspace the smoke run made, and the subcommand of each of its
+    calls."""
     ws = tmp_path_factory.mktemp("probes")
-    cli_probes.build_workspace(ws, cli.main)
-    return ws
+    commands = []
+
+    def run(argv):
+        commands.append(argv[0])
+        return cli.main(argv)
+
+    cli_probes.build_workspace(ws, run)
+    return ws, commands
+
+
+@pytest.fixture(scope="session")
+def probe_workspace(smoke_run):
+    return smoke_run[0]
 
 
 @pytest.mark.parametrize("probe", cli_probes.PROBES, ids=lambda probe: probe.name)
@@ -48,3 +64,26 @@ def test_ci_runs_refusal_probes_only_through_the_table():
     probes = [step.split("\n", 1)[0] for step in steps
               if step not in table_steps and "trafficlab" in step and refusal.search(step)]
     assert probes == []
+
+
+def subcommands() -> tuple:
+    parser = cli.build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return tuple(action.choices)
+
+
+def test_the_smoke_run_runs_every_subcommand(smoke_run):
+    _, commands = smoke_run
+    assert sorted(set(commands)) == sorted(subcommands())
+
+
+def test_ci_runs_the_console_script_only_through_the_table():
+    """A success run of `trafficlab` belongs in `cli_probes.build_workspace`,
+    and a refusal in its table; only the step that runs the table runs the
+    script."""
+    names = "|".join(map(re.escape, subcommands()))
+    invocation = re.compile(rf"\btrafficlab(\.cli)?\s+({names})\b")
+    steps = workflow_steps()
+    runs = [step.split("\n", 1)[0] for step in steps
+            if "tests/cli_probes.py" not in step and invocation.search(step)]
+    assert runs == []

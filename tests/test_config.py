@@ -403,6 +403,21 @@ def test_compare_refuses_a_negative_seed_before_reading_any_file(tmp_path, two_p
     assert calls == []
 
 
+def test_compare_refuses_a_config_that_names_no_controllers_before_reading_any_file(
+        tmp_path, two_phase_spec, monkeypatch):
+    # it used to read the spec and every flow, then write a header-only CSV
+    (tmp_path / "flow.json").write_text(core.flow_to_json(core.generate_flow(
+        core.parse_profile(UNIFORM), seed=1, duration=300)))
+    config = write_config(tmp_path, two_phase_spec, controllers=[], flows=["flow.json"],
+                          flow_profiles=[{"profile": UNIFORM, "seed": 2, "duration": 300}])
+    calls = []
+    for name in ("generate_flow", "load_intersection", "load_flow"):
+        monkeypatch.setattr(core, name, lambda *args, name=name, **kw: calls.append(name))
+    with pytest.raises(ValueError, match=r"^config names no controllers$"):
+        harness.compare(config)
+    assert calls == []
+
+
 def test_a_negative_cluster_split_is_refused_by_name(tmp_path, two_phase_spec):
     # SotlParams(cluster_split=-4) used to load and act as 0
     with pytest.raises(ValueError, match=r"^cluster_split must be non-negative, got -4$"):
