@@ -680,19 +680,44 @@ def load_flow(text: str) -> FlowDataset:
     """Parse a flow document: {"duration_s": int, "label": str (optional),
     "vehicles": [{id, spawn_time_s, movement}]}.
 
-    A document that is not an object, lacks a key, has a key outside these,
-    holds a value that is not an integer or a label that is not a string, a
-    negative duration or spawn time, a duration above MAX_FLOW_DURATION_S, or
-    vehicles out of spawn order or past the duration is refused with a
-    ValueError naming the path, such as `vehicles[17].spawn_time_s`, and
-    text that is not JSON as a malformed flow document. Vehicle and
-    FlowDataset hold the rules on values; the reader names a refused field by
-    its document key.
+    Each well-formed vehicle row becomes its Vehicle as the text is parsed
+    (`_vehicle_row`), so the rows are never held as dicts. A document that is
+    not an object, lacks a key, has a key outside these, holds a value that is
+    not an integer or a label that is not a string, a negative duration or
+    spawn time, a duration above MAX_FLOW_DURATION_S, or vehicles out of spawn
+    order or past the duration is refused with a ValueError naming the path,
+    such as `vehicles[17].spawn_time_s`, and text that is not JSON as a
+    malformed flow document. Vehicle and FlowDataset hold the rules on values;
+    the reader names a refused field by its document key, and its value as
+    the document writes it, from a second parse that keeps every object a dict.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_hook=_vehicle_row)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed flow document: {exc}") from exc
+    try:
+        return _flow_of(doc)
+    except ValueError:  # refused: named from a second parse, every object a dict
+        pass
+    return _flow_of(json.loads(text))
+
+
+def _vehicle_row(obj: dict):
+    """The object hook of `load_flow`: a well-formed vehicle row (exactly its
+    three keys, each an int, and values Vehicle accepts) as its Vehicle; any
+    other object as it is."""
+    if len(obj) == 3:
+        vid, spawn, movement = obj.get("id"), obj.get("spawn_time_s"), obj.get("movement")
+        if type(vid) is int and type(spawn) is int and type(movement) is int:
+            try:
+                return Vehicle(vid, spawn, movement)
+            except ValueError:  # the reader's loop names the refused row
+                pass
+    return obj
+
+
+def _flow_of(doc) -> FlowDataset:
+    """The flow of a parsed flow document, or its refusal; see `load_flow`."""
     if not isinstance(doc, dict):
         raise ValueError(f"a flow document must be a JSON object, got {type(doc).__name__}")
     for key in ("duration_s", "vehicles"):
@@ -705,19 +730,17 @@ def load_flow(text: str) -> FlowDataset:
         raise ValueError(f"vehicles must be an array, got {type(rows).__name__}")
     vehicles = []
     for k, row in enumerate(rows):
+        if type(row) is Vehicle:  # a well-formed row, built as it was parsed
+            vehicles.append(row)
+            continue
         if not isinstance(row, dict):
             raise ValueError(f"vehicles[{k}] must be an object, got {type(row).__name__}")
-        vid, spawn, movement = row.get("id"), row.get("spawn_time_s"), row.get("movement")
-        # json gives int for an integer, and three integers in a row of three
-        # keys leave no room for another key; anything else is checked by key.
-        if (type(vid) is not int or type(spawn) is not int or type(movement) is not int
-                or len(row) != 3):
-            for key in VEHICLE_KEYS.values():
-                if key not in row:
-                    raise ValueError(f"vehicles[{k}] lacks {key}")
-            reject_unknown_keys(f"vehicles[{k}]", row, VEHICLE_KEYS.values())
+        for key in VEHICLE_KEYS.values():
+            if key not in row:
+                raise ValueError(f"vehicles[{k}] lacks {key}")
+        reject_unknown_keys(f"vehicles[{k}]", row, VEHICLE_KEYS.values())
         try:
-            vehicles.append(Vehicle(vid, spawn, movement))
+            vehicles.append(Vehicle(row["id"], row["spawn_time_s"], row["movement"]))
         except ValueError as exc:  # Vehicle names its field; the path names the key
             name, _, problem = str(exc).partition(" ")
             raise ValueError(f"vehicles[{k}].{VEHICLE_KEYS[name]} {problem}") from None

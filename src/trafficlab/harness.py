@@ -325,6 +325,7 @@ def compare(config: ExperimentConfig):
     spec, flows = load_materials(config)
     sotl = SotlParams(**config.sotl)
     halves = [(flow.label, core.split_halves(flow)) for flow in flows]
+    del flows  # only the halves run
     for _, parts in halves:
         for part in parts:
             _episode_stop(part, config.horizon)

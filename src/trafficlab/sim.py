@@ -258,23 +258,18 @@ def lane_metrics(state: SimState):
 
 
 def avg_travel_time(state: SimState, flow: FlowDataset) -> float:
-    """Mean travel time in seconds; trips still under way at the current clock
-    count as (clock - spawn_time) so truncated episodes stay comparable."""
+    """Mean travel time in seconds of the flow's vehicles spawned before the
+    clock; trips still under way count as (clock - spawn_time) so truncated
+    episodes stay comparable. The sum is (clock - spawn_time) over those
+    vehicles plus (exit_time - clock) over the finished trips: every term is an
+    integer, so it is exact."""
     horizon = state.clock
-    exited = {vid: exit_t for vid, _, exit_t in state.completed}
-    total = 0.0
-    count = 0
-    for vehicle in flow.vehicles:
-        if vehicle.spawn_time >= horizon:
-            continue
-        if vehicle.id in exited:
-            total += exited[vehicle.id] - vehicle.spawn_time
-        else:
-            total += horizon - vehicle.spawn_time
-        count += 1
-    if count == 0:
+    spawns = [v.spawn_time for v in flow.vehicles if v.spawn_time < horizon]
+    if not spawns:
         raise ValueError("empty flow")
-    return total / count
+    total = (sum(horizon - spawn for spawn in spawns)
+             + sum(exit_t - horizon for _, _, exit_t in state.completed))
+    return total / len(spawns)
 
 
 def trajectory_rows(state: SimState):

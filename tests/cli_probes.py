@@ -326,8 +326,9 @@ def build_workspace(ws: Path, run) -> None:
            "spec.json and flow.json are not the 8-lane spec and flow")
     # A platoon ends at its first spawn past the duration, so a huge
     # cluster_size costs only the 60 vehicles it yields; the platoon loop used
-    # to run all cluster_size steps and hit the timeout.
-    trafficlab("genflow --profile 'clustered(cluster_size=100000000,inter_cluster_gap=60,"
+    # to run all cluster_size steps. At 10**12 steps a loop that walks them
+    # all, even appending none, runs for hours and hits the timeout.
+    trafficlab("genflow --profile 'clustered(cluster_size=1000000000000,inter_cluster_gap=60,"
                "within_gap=1,lane_weights=1:1)' --seed 1 --duration 60 --out {ws}/platoon.json")
     vehicles = len(document("platoon.json")["vehicles"])
     expect(vehicles == 60, f"platoon.json holds {vehicles} vehicles, not 60")

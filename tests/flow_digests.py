@@ -7,9 +7,11 @@ is the same bytes on every machine and on every supported Python (3.10 to
 The digests are checked in two ways:
 - `tests/test_golden.py` runs `genflow_digest` for each row in process.
 - `PYTHONPATH=src python tests/flow_digests.py` writes each flow with
-  `genflow` in a temporary directory, prints its digest and exits 1 if any
-  differs. It needs only the stdlib and the package's stdlib `core`, so CI
-  runs it on each supported Python without installing anything.
+  `genflow` in a temporary directory, prints its digest, reads it back with
+  `core.load_flow` (`read_back`), and exits 1 if any digest differs or any
+  flow does not read back to its own bytes. It needs only the stdlib and the
+  package's stdlib `core`, so CI runs it on each supported Python without
+  installing anything.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from trafficlab import cli
+from trafficlab import cli, core
 
 LIGHT = "uniform(rate_per_lane=0.03,n_lanes=8)"
 SATURATED = ("clustered(cluster_size=6,inter_cluster_gap=3,within_gap=1,"
@@ -49,15 +51,32 @@ def genflow_digest(out: Path, profile: str, seed: int) -> str:
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
+def read_back(path: Path) -> str:
+    """What differs when `core.load_flow` reads the flow file at `path` and
+    `core.flow_to_json` writes the flow again, or "" if the text is the same
+    byte for byte."""
+    text = path.read_text(encoding="utf-8")
+    try:
+        again = core.flow_to_json(core.load_flow(text))
+    except ValueError as exc:
+        return f"refused: {exc}"
+    return "" if again == text else "written again, it is not the same text"
+
+
 def main() -> int:
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
         for stem, profile, seed, digest in FLOW_FILE_DIGESTS:
-            found = genflow_digest(Path(tmp) / f"{stem}.json", profile, seed)
-            print(f"{'ok  ' if found == digest else 'FAIL'} {stem} {found}")
-            failed += found != digest
+            path = Path(tmp) / f"{stem}.json"
+            found = genflow_digest(path, profile, seed)
+            problem = read_back(path)
+            ok = found == digest and not problem
+            print(f"{'ok  ' if ok else 'FAIL'} {stem} {found}"
+                  + (f"; read back: {problem}" if problem else ""))
+            failed += not ok
     print(f"Python {platform.python_version()}: {len(FLOW_FILE_DIGESTS) - failed} of "
-          f"{len(FLOW_FILE_DIGESTS)} flow files match their digests")
+          f"{len(FLOW_FILE_DIGESTS)} flow files match their digests and read back "
+          "to the same bytes")
     return 1 if failed else 0
 
 

@@ -1,8 +1,12 @@
 """tools/bench_pairs.py on synthetic pair sets and work directories: the
-verdict of each metric and the behaviour lock."""
+verdict of each metric and the behaviour lock; and its refusal of a working
+tree with uncommitted changes."""
 
 import importlib.util
 import json
+import shutil
+import subprocess
+import sys
 import zipfile
 from pathlib import Path
 
@@ -116,3 +120,32 @@ def test_a_missing_output_fails_the_lock(works):
     (head / "run" / "metrics.csv").unlink()
     diffs = bench_pairs.lock_diffs(base, head)
     assert len(diffs) == 1 and diffs[0].startswith("run/metrics.csv: ")
+
+
+def git(repo: Path, *args: str) -> str:
+    return subprocess.run(["git", "-c", "user.name=bench", "-c", "user.email=bench@example.com",
+                           *args], cwd=repo, check=True, capture_output=True, text=True).stdout
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_uncommitted_changes_to_tracked_files_are_refused_by_name(tmp_path):
+    repo = tmp_path / "repo"
+    (repo / "tools").mkdir(parents=True)
+    shutil.copy(TOOL, repo / "tools" / "bench_pairs.py")
+    shutil.copy(TOOL.parents[1] / "BENCHMARK.json", repo / "BENCHMARK.json")
+    (repo / "core.py").write_text("x = 1\n")
+    git(repo, "init", "-q")
+    git(repo, "add", ".")
+    git(repo, "commit", "-q", "-m", "base")
+    (repo / "core.py").write_text("x = 2\n")
+    (repo / "scratch.py").write_text("")  # untracked, so not named
+    argv = [sys.executable, "tools/bench_pairs.py", "--base", "HEAD", "--workload", "train-toy",
+            "--seeds", "1", "--out", "bench.json"]
+    proc = subprocess.run(argv, cwd=repo, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "error: uncommitted changes to tracked files: core.py; " in proc.stderr
+    assert not (repo / "bench.json").exists()
+    assert len(git(repo, "worktree", "list").splitlines()) == 1
+    assert bench_pairs.tracked_changes(repo) == ["core.py"]
+    git(repo, "commit", "-q", "-am", "head")
+    assert bench_pairs.tracked_changes(repo) == []

@@ -1,17 +1,20 @@
 #!/usr/bin/env python3
-"""Paired benchmark runs of this working tree against a base revision.
+"""Paired benchmark runs of a head revision against a base revision.
 
     python3 tools/bench_pairs.py --base 604e8c9 --workload train-toy --seeds 1-10 --out BENCH.json
 
-`--workload` may be given more than once. The base is checked out with
-`git worktree add` in a temporary directory and removed afterwards. There is
-one pair per seed: it runs each tree's own, unchanged `perfbench/run.py` on
-one workload at that seed for BENCHMARK.json's `run_seconds`, and the tree
-that goes first alternates from pair to pair.
+`--workload` may be given more than once. `--head` defaults to `HEAD`, so
+commit the change to measure: a working tree with uncommitted changes to
+tracked files is refused, naming them. Both revisions are checked out alike,
+with `git worktree add` into sibling temporary directories whose paths have
+the same length, and removed afterwards; the two sides differ only in their
+commits. There is one pair per seed: it runs each tree's own, unchanged
+`perfbench/run.py` on one workload at that seed for BENCHMARK.json's
+`run_seconds`, and the tree that goes first alternates from pair to pair.
 
 The JSON written to `--out` holds, for each workload and each end-to-end
 metric of BENCHMARK.json, both trees' medians and quartiles, the pairs the
-working tree won, the gap between the medians against the base's IQR, and a
+head won, the gap between the medians against the base's IQR, and a
 verdict. It records the measuring process's Python, numpy and BLAS versions,
 BLAS thread count and `nproc`. It also holds the behaviour lock of every
 pair: the seeded outputs both trees wrote, compared byte for byte; see
@@ -95,7 +98,7 @@ def quartiles(values: list[float]) -> list[float]:
 
 def summarize(metric: dict, base: list[float], head: list[float]) -> dict:
     """One metric over paired runs (`base[k]` beside `head[k]`). `gain` is how
-    far the working tree's median is better than the base's, in the metric's
+    far the head's median is better than the base's, in the metric's
     unit. The verdict is "worse" past the metric's relative bound; "better"
     when at least 9 of 10 pairs are won and the gain exceeds the base's IQR;
     "worse within bound" when at least 9 of 10 are lost and the loss exceeds
@@ -146,31 +149,44 @@ def work_dir(tree: Path, workload: str, seed: int) -> Path:
     return tree / ".perfbench-runs" / f"{workload}-seed{seed}"
 
 
-def git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
+def git(*args: str, cwd: Path = ROOT) -> str:
+    return subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True,
                           text=True).stdout.strip()
 
 
+def tracked_changes(root: Path = ROOT) -> list[str]:
+    """The tracked files of the working tree at `root` with uncommitted
+    changes, staged or not."""
+    return git("diff", "--name-only", "HEAD", cwd=root).splitlines()
+
+
 @contextlib.contextmanager
-def base_tree(rev: str):
+def checkouts(base_rev: str, head_rev: str):
+    """`(base, head)`: the two revisions checked out alike, in sibling
+    temporary worktrees whose paths have the same length."""
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        path = Path(tmp) / "base"
-        git("worktree", "add", "--detach", str(path), rev)
+        paths = Path(tmp) / "base", Path(tmp) / "head"
+        added = []
         try:
-            yield path
+            for path, rev in zip(paths, (base_rev, head_rev)):
+                git("worktree", "add", "--detach", str(path), rev)
+                added.append(path)
+            yield paths
         finally:
-            git("worktree", "remove", "--force", str(path))
+            for path in added:
+                git("worktree", "remove", "--force", str(path))
 
 
-def bench_workload(base: Path, workload: str, seeds: list[int], seconds: float,
+def bench_workload(base: Path, head: Path, workload: str, seeds: list[int], seconds: float,
                    metrics_spec: list[dict]) -> dict:
     runs = []
+    trees = {"base": base, "head": head}
     for k, seed in enumerate(seeds):
         order = ("base", "head") if k % 2 == 0 else ("head", "base")
         pair = {"seed": seed, "first": order[0]}
         for side in order:
-            pair[side] = run_perfbench(base if side == "base" else ROOT, workload, seed, seconds)
-        pair["lock"] = lock_diffs(work_dir(base, workload, seed), work_dir(ROOT, workload, seed))
+            pair[side] = run_perfbench(trees[side], workload, seed, seconds)
+        pair["lock"] = lock_diffs(work_dir(base, workload, seed), work_dir(head, workload, seed))
         print(f"{workload} pair {k + 1}/{len(seeds)} seed {seed}: {order[0]} first, "
               f"run_s {pair['base'].get('metrics', {}).get('run_s')} -> "
               f"{pair['head'].get('metrics', {}).get('run_s')}, "
@@ -200,22 +216,29 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--base", required=True, help="the git revision to compare against")
+    parser.add_argument("--head", default="HEAD", help="the git revision to measure")
     parser.add_argument("--workload", action="append", required=True, choices=names)
     parser.add_argument("--seeds", type=parse_seeds, required=True, help="a-b, one pair per seed")
     parser.add_argument("--out", required=True, help="the JSON report to write")
     args = parser.parse_args(argv)
+    # Both sides run from commits, so changes not committed would be measured
+    # on neither.
+    changed = tracked_changes()
+    if changed:
+        parser.error(f"uncommitted changes to tracked files: {', '.join(changed)}; "
+                     "commit them first")
 
     report = {
         "base": {"rev": args.base, "commit": git("rev-parse", args.base)},
-        "head": {"commit": git("rev-parse", "HEAD"),
-                 "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))},
+        "head": {"rev": args.head, "commit": git("rev-parse", args.head)},
         "seeds": args.seeds, "seconds": benchmark["run_seconds"],
         "workloads": {},
     }
-    with base_tree(args.base) as base:
+    with checkouts(args.base, args.head) as (base, head):
         for workload in args.workload:
             report["workloads"][workload] = bench_workload(
-                base, workload, args.seeds, benchmark["run_seconds"], benchmark["end_to_end"])
+                base, head, workload, args.seeds, benchmark["run_seconds"],
+                benchmark["end_to_end"])
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     bad = False
     for workload, result in report["workloads"].items():
