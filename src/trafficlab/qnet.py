@@ -1,13 +1,16 @@
 """Action-value network: a small numpy MLP with analytic gradients and Adam.
 
 `forward` and `loss_and_grads` share one forward routine, which writes into
-the network's workspace: activation, delta and ReLU-mask buffers, one set per
-batch size, made the first time that size is used and reused by every later
-call of that size. One state vector runs as a batch of one. What the
-functions return is never workspace memory (Q values are copied out,
-gradients are views of a fresh vector), so a result stays valid across later
-calls. A workspace belongs to one network: `copy` makes the clone its own,
-checkpoints do not store it, and two threads must not run one network at once.
+the network's workspace: one float buffer per layer and a ReLU-mask buffer
+per hidden layer, one set per batch size, made the first time that size is
+used and reused by every later call of that size. The backward pass of
+`loss_and_grads` writes each layer's delta over that layer's output once it
+has read the output for the last time. One state vector runs as a batch of
+one. What the functions return is never workspace memory (Q values are
+copied out, gradients are views of a fresh vector), so a result stays valid
+across later calls. A workspace belongs to one network: `copy` makes the
+clone its own, checkpoints do not store it, and two threads must not run one
+network at once.
 """
 
 from __future__ import annotations
@@ -25,12 +28,14 @@ FLUSH_EVERY = 1000
 
 
 class Workspace:
-    """Buffers for a batch of n states: `outputs[k]` and `deltas[k]` are
-    (n, layer_sizes[k + 1]), `masks[k]` is the bool ReLU mask of hidden layer k."""
+    """Buffers for a batch of n states: `outputs[k]` is (n, layer_sizes[k + 1]),
+    `masks[k]` is the bool ReLU mask of hidden layer k. `deltas` is the same
+    list as `outputs`: after `_run` the buffers hold the layer outputs, and
+    after `loss_and_grads` the buffers hold the deltas."""
 
     def __init__(self, layer_sizes: tuple, n: int):
         self.outputs = [np.empty((n, s)) for s in layer_sizes[1:]]
-        self.deltas = [np.empty((n, s)) for s in layer_sizes[1:]]
+        self.deltas = self.outputs
         self.masks = [np.empty((n, s), dtype=bool) for s in layer_sizes[1:-1]]
         self.rows = np.arange(n)
 
@@ -150,6 +155,7 @@ def loss_and_grads(net: QNetwork, states, actions, targets):
     # The sum and the division that np.mean makes, without its Python wrapper.
     loss = float((err ** 2).sum() / n)
 
+    # The picked values are taken, so Q's buffer takes its delta.
     dq = ws.deltas[-1]
     dq.fill(0.0)
     dq[ws.rows, actions] = 2.0 * err / n
@@ -162,9 +168,11 @@ def loss_and_grads(net: QNetwork, states, actions, targets):
         delta.sum(axis=0, out=grad_b[k])
         if k > 0:
             # ReLU'(z) as relu(z) > 0, which holds exactly when z > 0 (NaN included).
+            # `below` is `acts[k]`'s buffer: the mask is taken before the
+            # product overwrites the activation with its delta.
             below, mask = ws.deltas[k - 1], ws.masks[k - 1]
-            np.matmul(delta, net.weights[k].T, out=below)
             np.greater(acts[k], 0.0, out=mask)
+            np.matmul(delta, net.weights[k].T, out=below)
             np.multiply(below, mask, out=below)
     return loss, grad_w, grad_b
 

@@ -1,5 +1,7 @@
 """Network forward/backward, Adam, and soft-update tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -406,6 +408,23 @@ class TestWorkspace:
         for x, y in zip((*a.outputs, *a.deltas, *a.masks), (*b.outputs, *b.deltas, *b.masks)):
             assert not np.shares_memory(x, y)
         np.testing.assert_array_equal(forward(clone, states), forward(net, states))
+
+    def test_batch_512_update_allocates_under_0_85_mib(self):
+        # A batch-512 workspace of the 14-64-64-2 toy net holds 520 KiB of
+        # float buffers when each delta is written over its layer's output,
+        # and 1,040 KiB with a delta buffer beside each output (1.20 MiB peak).
+        net = QNetwork.build(14, 2, np.random.default_rng(10))
+        rng = np.random.default_rng(11)
+        states = rng.normal(size=(512, 14))
+        actions = rng.integers(0, 2, size=512)
+        targets = rng.normal(size=512)
+        tracemalloc.start()
+        try:
+            loss_and_grads(net, states, actions, targets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.85 * 2 ** 20
 
     def test_one_workspace_per_batch_size(self):
         net = QNetwork.build(6, 3, np.random.default_rng(8))
