@@ -26,6 +26,7 @@ def test_a_head_faster_in_every_round_and_past_the_iqr_is_faster():
     assert result["unit"] == "us"
     assert result["base_median"] == pytest.approx(1.0)
     assert result["gain"] == pytest.approx(0.1)
+    assert result["median_ratio"] == pytest.approx(0.9)
 
 
 def test_a_gain_inside_the_iqr_or_in_8_of_10_rounds_is_the_same():

@@ -1,16 +1,17 @@
 #!/usr/bin/env python3
 """Per-layer A/B timings of a head revision against a base revision.
 
-    python3 tools/bench_layers.py --base fff1be6 --rounds 25 --out BENCH-layers.json
+    python3 tools/bench_layers.py --base HEAD~1 --rounds 25 --out BENCH-layers.json
 
 Both revisions are checked out as `tools/bench_pairs.py` checks them out
 (`--head` defaults to `HEAD`; uncommitted changes to tracked files are
 refused, naming them). One child process per tree imports that tree's
 `trafficlab` (`PYTHONPATH=<tree>/src`, one BLAS thread) and builds every
 layer below from the same seeds. Each round, both children time every layer
-in turn, and the child that goes first alternates from round to round. A
-child's timing of a layer is the minimum over `REPEATS` runs of `number`
-calls.
+in turn: `REPEATS` runs of `number` calls each, the two children taking
+turns run by run, and the child that goes first alternates from run to run
+and from round to round, so both sides sample the same stretches of a busy
+host. A side's time for the round is its fastest run.
 
 The layers are aim 1's: `qnet.forward` at batch 1 and 32 on the 40-64-64-8
 net of train-grid-mdp and at batch 512 on the 14-64-64-2 net of train-toy;
@@ -21,10 +22,11 @@ of a seeded saturated 8-lane half, with a fresh `sim.init` per run and a
 phase change every 30 s.
 
 The JSON written to `--out` holds, per layer, the time per call of each
-side (median and quartiles of the round minimums, in µs), the rounds the
-head won, a verdict, and whether both trees returned identical outputs: a
-digest of what the layer returned (or left in its state) on a fresh seeded
-run. The exit status is 1 if any layer's outputs differ.
+side (median and quartiles of the round minimums, in µs), the median of the
+per-round ratios head / base, the rounds the head won, a verdict, and
+whether both trees returned identical outputs: a digest of what the layer
+returned (or left in its state) on a fresh seeded run. The exit status is 1
+if any layer's outputs differ.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import gc
 import hashlib
 import json
 import os
+import statistics
 import subprocess
 import sys
 import time
@@ -42,8 +45,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_pairs import checkouts, git, quartiles, tracked_changes  # noqa: E402
 
-# Runs per layer per round; a child reports the fastest.
-REPEATS = 5
+# Runs per side, per layer, per round; a round keeps each side's fastest.
+REPEATS = 10
 TICKS = 600
 SATURATED_PROFILE = ("clustered(cluster_size=6,inter_cluster_gap=3,within_gap=1,"
                      "lane_weights=1:1:1:1:1:1:1:1)")
@@ -227,8 +230,7 @@ def environment() -> dict:
 
 def serve(stdin=sys.stdin, stdout=sys.stdout) -> None:
     """The child: one line with the environment and each layer's digest, then
-    for each requested layer name, the fastest of REPEATS runs in seconds per
-    call."""
+    for each requested layer name, one run's seconds per call."""
     layers = build_layers()
     hello = {"environment": environment(),
              "digests": {name: digest for name, (_, _, digest) in layers.items()}}
@@ -237,10 +239,10 @@ def serve(stdin=sys.stdin, stdout=sys.stdout) -> None:
         number, run, _ = layers[line.strip()]
         gc.disable()
         try:
-            best = min(run(number) for _ in range(REPEATS))
+            seconds = run(number)
         finally:
             gc.enable()
-        print(json.dumps(best), file=stdout, flush=True)
+        print(json.dumps(seconds), file=stdout, flush=True)
 
 
 class Child:
@@ -254,11 +256,14 @@ class Child:
                "import bench_layers; bench_layers.serve()"
         self.proc = subprocess.Popen([sys.executable, "-c", code], cwd=tree, env=env,
                                      stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
-        self.hello = self._read()
-        where = Path(self.hello["environment"]["trafficlab"])
-        if where != (tree / "src" / "trafficlab").resolve():
+        try:
+            self.hello = self._read()
+            where = Path(self.hello["environment"]["trafficlab"])
+            if where != (tree / "src" / "trafficlab").resolve():
+                raise RuntimeError(f"the child for {tree} imported trafficlab from {where}")
+        except BaseException:
             self.close()
-            raise RuntimeError(f"the child for {tree} imported trafficlab from {where}")
+            raise
 
     def _read(self):
         line = self.proc.stdout.readline()
@@ -274,13 +279,14 @@ class Child:
     def close(self) -> None:
         self.proc.stdin.close()
         self.proc.wait()
+        self.proc.stdout.close()
 
 
 def summarize(base: list[float], head: list[float]) -> dict:
-    """One layer's round minimums, in seconds per call, as µs. The verdict
-    is "faster" when the head wins at least 9 of 10 rounds and its median
-    is lower by more than the base's IQR, "slower" for the mirror, and
-    "same" otherwise."""
+    """One layer's round minimums, in seconds per call, as µs, and the median
+    of the per-round ratios head / base. The verdict is "faster" when the
+    head wins at least 9 of 10 rounds and its median is lower by more than
+    the base's IQR, "slower" for the mirror, and "same" otherwise."""
     qb = [q * 1e6 for q in quartiles(base)]
     qh = [q * 1e6 for q in quartiles(head)]
     wins = sum(h < b for b, h in zip(base, head))
@@ -296,6 +302,7 @@ def summarize(base: list[float], head: list[float]) -> dict:
         "unit": "us", "base_median": qb[1], "head_median": qh[1],
         "base_quartiles": [qb[0], qb[2]], "head_quartiles": [qh[0], qh[2]],
         "wins": wins, "rounds": len(base), "gain": gain, "base_iqr": iqr,
+        "median_ratio": statistics.median(h / b for b, h in zip(base, head)),
         "verdict": verdict,
     }
 
@@ -309,11 +316,14 @@ def measure(trees: dict, rounds: int) -> dict:
         minimums = {name: {side: [] for side in trees} for name, *_ in LAYERS}
         sides = list(trees)
         for k in range(rounds):
-            order = sides if k % 2 == 0 else sides[::-1]
             for name in minimums:
-                for side in order:
-                    minimums[name][side].append(children[side].time(name))
-            print(f"round {k + 1}/{rounds}: {order[0]} first", file=sys.stderr)
+                best = dict.fromkeys(sides, float("inf"))
+                for r in range(REPEATS):
+                    for side in sides if (k + r) % 2 == 0 else sides[::-1]:
+                        best[side] = min(best[side], children[side].time(name))
+                for side in sides:
+                    minimums[name][side].append(best[side])
+            print(f"round {k + 1}/{rounds}", file=sys.stderr)
     finally:
         for child in children.values():
             child.close()
@@ -355,7 +365,7 @@ def main(argv=None) -> int:
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     for name, m in report["layers"].items():
         print(f"{name}: {m['base_median']:.2f} -> {m['head_median']:.2f} us, "
-              f"won {m['wins']}/{m['rounds']}, {m['verdict']}, "
+              f"ratio {m['median_ratio']:.3f}, won {m['wins']}/{m['rounds']}, {m['verdict']}, "
               f"outputs {'identical' if m['identical'] else 'DIFFERENT'}")
     return int(not all(m["identical"] for m in report["layers"].values()))
 
