@@ -42,14 +42,16 @@ def test_a_head_slower_in_every_round_past_the_iqr_is_slower():
     assert (result["wins"], result["verdict"]) == (0, "slower")
 
 
-def test_serve_reports_each_layers_digest_and_times_a_requested_layer():
+def test_serve_builds_behind_any_pad_to_the_same_digests_and_times_a_layer():
     stdout = io.StringIO()
-    bench_layers.serve(io.StringIO("forward.b1\nsim.tick\n"), stdout)
-    hello, *times = [json.loads(line) for line in stdout.getvalue().splitlines()]
-    assert list(hello["digests"]) == [name for name, *_ in bench_layers.LAYERS]
-    assert all(len(d) == 64 for d in hello["digests"].values())
-    assert Path(hello["environment"]["trafficlab"]).name == "trafficlab"
-    assert len(times) == 2 and all(0 < t < 0.1 for t in times)
+    bench_layers.serve(io.StringIO("build 0\nforward.b1\nbuild 1\nsim.tick\n"), stdout)
+    environment, first, t1, second, t2 = [json.loads(line)
+                                          for line in stdout.getvalue().splitlines()]
+    assert Path(environment["trafficlab"]).name == "trafficlab"
+    assert list(first) == [name for name, *_ in bench_layers.LAYERS]
+    assert all(len(d) == 64 for d in first.values())
+    assert second == first
+    assert 0 < t1 < 0.1 and 0 < t2 < 0.1
 
 
 def test_a_child_that_imports_the_program_from_elsewhere_is_refused(tmp_path):

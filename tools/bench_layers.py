@@ -7,11 +7,13 @@ Both revisions are checked out as `tools/bench_pairs.py` checks them out
 (`--head` defaults to `HEAD`; uncommitted changes to tracked files are
 refused, naming them). One child process per tree imports that tree's
 `trafficlab` (`PYTHONPATH=<tree>/src`, one BLAS thread) and builds every
-layer below from the same seeds. Each round, both children time every layer
-in turn: `REPEATS` runs of `number` calls each, the two children taking
-turns run by run, and the child that goes first alternates from run to run
-and from round to round, so both sides sample the same stretches of a busy
-host. A side's time for the round is its fastest run.
+layer below from the same seeds. Each round, both children rebuild every
+layer, each behind a pad whose size the round seeds (see `build_layers`),
+then time every layer in turn: `REPEATS` runs of `number` calls each, the
+two children taking turns run by run, and the child that goes first
+alternates from run to run and from round to round, so both sides sample
+the same stretches of a busy host. A side's time for the round is its
+fastest run.
 
 The layers are aim 1's: `qnet.forward` at batch 1 and 32 on the 40-64-64-8
 net of train-grid-mdp and at batch 512 on the 14-64-64-2 net of train-toy;
@@ -25,8 +27,9 @@ The JSON written to `--out` holds, per layer, the time per call of each
 side (median and quartiles of the round minimums, in µs), the median of the
 per-round ratios head / base, the rounds the head won, a verdict, and
 whether both trees returned identical outputs: a digest of what the layer
-returned (or left in its state) on a fresh seeded run. The exit status is 1
-if any layer's outputs differ.
+returned (or left in its state) on a fresh seeded run, taken at every
+build, which must be the same in every round on both sides. The exit status
+is 1 if any layer's outputs differ.
 """
 
 from __future__ import annotations
@@ -204,12 +207,22 @@ LAYERS = (
 )
 
 
-def build_layers() -> dict:
-    """name -> (number, run, digest) for every layer, in the importing tree."""
+def build_layers(seed: int) -> dict:
+    """name -> (number, run, digest, pad) for every layer, in the importing
+    tree. Each layer is built behind a live pad of seeded random size (under
+    64 KiB). Where a layer's arrays fall in memory moves the small vector
+    layers by up to a fifth (`Adam.step` at 5,250 parameters took 34-40 µs
+    over ten pads), and it would otherwise be fixed by whatever the tree
+    allocated before; with the pads each round draws it afresh, alike on
+    both sides."""
+    import numpy as np
+
+    sizes = np.random.default_rng(seed).integers(0, 1 << 16, size=len(LAYERS))
     layers = {}
-    for name, number, build, args in LAYERS:
+    for (name, number, build, args), size in zip(LAYERS, sizes):
+        pad = np.empty(size, dtype=np.uint8)
         run, outputs = build(*args)
-        layers[name] = (number, run, _digest(outputs))
+        layers[name] = (number, run, _digest(outputs), pad)
     return layers
 
 
@@ -229,20 +242,24 @@ def environment() -> dict:
 
 
 def serve(stdin=sys.stdin, stdout=sys.stdout) -> None:
-    """The child: one line with the environment and each layer's digest, then
-    for each requested layer name, one run's seconds per call."""
-    layers = build_layers()
-    hello = {"environment": environment(),
-             "digests": {name: digest for name, (_, _, digest) in layers.items()}}
-    print(json.dumps(hello), file=stdout, flush=True)
+    """The child: one line with its environment, then one reply line per
+    request line. `build <seed>` (re)builds every layer and replies with each
+    layer's digest; a layer's name replies with one run's seconds per call."""
+    print(json.dumps(environment()), file=stdout, flush=True)
+    layers = {}
     for line in stdin:
-        number, run, _ = layers[line.strip()]
-        gc.disable()
-        try:
-            seconds = run(number)
-        finally:
-            gc.enable()
-        print(json.dumps(seconds), file=stdout, flush=True)
+        word, _, seed = line.strip().partition(" ")
+        if word == "build":
+            layers = build_layers(int(seed))
+            reply = {name: digest for name, (_, _, digest, _) in layers.items()}
+        else:
+            number, run, *_ = layers[word]
+            gc.disable()
+            try:
+                reply = run(number)
+            finally:
+                gc.enable()
+        print(json.dumps(reply), file=stdout, flush=True)
 
 
 class Child:
@@ -257,8 +274,8 @@ class Child:
         self.proc = subprocess.Popen([sys.executable, "-c", code], cwd=tree, env=env,
                                      stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
         try:
-            self.hello = self._read()
-            where = Path(self.hello["environment"]["trafficlab"])
+            self.environment = self._read()
+            where = Path(self.environment["trafficlab"])
             if where != (tree / "src" / "trafficlab").resolve():
                 raise RuntimeError(f"the child for {tree} imported trafficlab from {where}")
         except BaseException:
@@ -271,8 +288,8 @@ class Child:
             raise RuntimeError(f"child exited with status {self.proc.wait()}")
         return json.loads(line)
 
-    def time(self, layer: str) -> float:
-        self.proc.stdin.write(layer + "\n")
+    def ask(self, request: str):
+        self.proc.stdin.write(request + "\n")
         self.proc.stdin.flush()
         return self._read()
 
@@ -314,29 +331,31 @@ def measure(trees: dict, rounds: int) -> dict:
         for side, tree in trees.items():
             children[side] = Child(tree)
         minimums = {name: {side: [] for side in trees} for name, *_ in LAYERS}
+        digests = {side: [] for side in trees}
         sides = list(trees)
         for k in range(rounds):
+            for side in sides:
+                digests[side].append(children[side].ask(f"build {k}"))
             for name in minimums:
                 best = dict.fromkeys(sides, float("inf"))
                 for r in range(REPEATS):
                     for side in sides if (k + r) % 2 == 0 else sides[::-1]:
-                        best[side] = min(best[side], children[side].time(name))
+                        best[side] = min(best[side], children[side].ask(name))
                 for side in sides:
                     minimums[name][side].append(best[side])
             print(f"round {k + 1}/{rounds}", file=sys.stderr)
     finally:
         for child in children.values():
             child.close()
-    digests = {side: child.hello["digests"] for side, child in children.items()}
     layers = {}
     for name, number, *_ in LAYERS:
         layers[name] = summarize(minimums[name]["base"], minimums[name]["head"])
         layers[name].update(
             number=number, repeats=REPEATS,
-            identical=digests["base"][name] == digests["head"][name],
+            identical=len({d[name] for side in sides for d in digests[side]}) == 1,
             base_minimums_us=[t * 1e6 for t in minimums[name]["base"]],
             head_minimums_us=[t * 1e6 for t in minimums[name]["head"]])
-    environments = {side: child.hello["environment"] for side, child in children.items()}
+    environments = {side: child.environment for side, child in children.items()}
     return {"environment": environments, "layers": layers}
 
 
