@@ -45,22 +45,21 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
+import numpy as np
+
+TOOLS = Path(__file__).resolve().parent
+sys.path[:0] = [str(TOOLS), str(TOOLS.parent)]
 from bench_pairs import checkouts, git, quartiles, tracked_changes  # noqa: E402
 
 # Runs per side, per layer, per round; a round keeps each side's fastest.
 REPEATS = 10
 TICKS = 600
-SATURATED_PROFILE = ("clustered(cluster_size=6,inter_cluster_gap=3,within_gap=1,"
-                     "lane_weights=1:1:1:1:1:1:1:1)")
 # (in_dim, n_actions) of train-grid-mdp's and train-toy's nets.
 GRID_NET, TOY_NET = (40, 8), (14, 2)
 
 
 def _digest(values) -> str:
     """A SHA-256 of arrays (their dtype, shape and bytes) and other values (repr)."""
-    import numpy as np
-
     h = hashlib.sha256()
     for value in values:
         if isinstance(value, np.ndarray):
@@ -82,8 +81,6 @@ def _timed(call):
 
 
 def _nets(dims, seed: int):
-    import numpy as np
-
     from trafficlab import qnet
 
     rng = np.random.default_rng(seed)
@@ -147,8 +144,6 @@ def soft_update_layer(dims, n: int):
 
 def sample_layer(dims, n: int):
     """`ReplayBuffer.sample` from a buffer holding 4,096 seeded transitions."""
-    import numpy as np
-
     from trafficlab.agents import ReplayBuffer
     from trafficlab.env import Transition
 
@@ -165,9 +160,10 @@ def sample_layer(dims, n: int):
 def tick_layer():
     """`sim.tick` over the first TICKS s of the first half of a saturated
     8-lane flow, the phase moving on every 30 s; the time is per tick."""
+    from perfbench.workloads import SATURATED_PROFILE
     from trafficlab import core, sim
 
-    spec = core.default_intersection(lane_length_m=300.0)
+    spec = core.default_intersection(lane_length_m=300.0)  # compare-grid's spec
     half, _ = core.split_halves(core.generate_flow(core.parse_profile(SATURATED_PROFILE),
                                                    seed=3003, duration=3600))
     n_phases = len(spec.lane_green)
@@ -215,8 +211,6 @@ def build_layers(seed: int) -> dict:
     over ten pads), and it would otherwise be fixed by whatever the tree
     allocated before; with the pads each round draws it afresh, alike on
     both sides."""
-    import numpy as np
-
     sizes = np.random.default_rng(seed).integers(0, 1 << 16, size=len(LAYERS))
     layers = {}
     for (name, number, build, args), size in zip(LAYERS, sizes):
@@ -227,8 +221,6 @@ def build_layers(seed: int) -> dict:
 
 
 def environment() -> dict:
-    import numpy as np
-
     import trafficlab
 
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -269,7 +261,7 @@ class Child:
         env = dict(os.environ, PYTHONPATH=str(tree / "src"))
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             env[var] = "1"
-        code = f"import sys; sys.path.insert(0, {str(Path(__file__).resolve().parent)!r}); " \
+        code = f"import sys; sys.path.insert(0, {str(TOOLS)!r}); " \
                "import bench_layers; bench_layers.serve()"
         self.proc = subprocess.Popen([sys.executable, "-c", code], cwd=tree, env=env,
                                      stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
