@@ -42,6 +42,12 @@ def test_a_head_slower_in_every_round_past_the_iqr_is_slower():
     assert (result["wins"], result["verdict"]) == (0, "slower")
 
 
+def test_fewer_than_10_rounds_give_no_verdict():
+    base = [b * 1e-6 for b in BASE[:9]]
+    assert bench_layers.summarize(base, [b * 0.5 for b in base])["verdict"] == "same"
+    assert bench_layers.summarize(base[:1], [base[0] * 2])["verdict"] == "same"
+
+
 def test_serve_builds_behind_any_pad_to_the_same_digests_and_times_a_layer():
     stdout = io.StringIO()
     bench_layers.serve(io.StringIO("build 0\nforward.b1\nbuild 1\nsim.tick\n"), stdout)

@@ -293,15 +293,18 @@ class Child:
 
 def summarize(base: list[float], head: list[float]) -> dict:
     """One layer's round minimums, in seconds per call, as µs, and the median
-    of the per-round ratios head / base. The verdict is "faster" when the
-    head wins at least 9 of 10 rounds and its median is lower by more than
-    the base's IQR, "slower" for the mirror, and "same" otherwise."""
+    of the per-round ratios head / base. Over at least 10 rounds, the
+    verdict is "faster" when the head wins at least 9 of 10 rounds and its
+    median is lower by more than the base's IQR, and "slower" for the
+    mirror; it is "same" otherwise, and always over fewer rounds."""
     qb = [q * 1e6 for q in quartiles(base)]
     qh = [q * 1e6 for q in quartiles(head)]
     wins = sum(h < b for b, h in zip(base, head))
     losses = sum(h > b for b, h in zip(base, head))
     iqr, gain = qb[2] - qb[0], qb[1] - qh[1]
-    if wins >= 0.9 * len(base) and gain > iqr:
+    if len(base) < 10:
+        verdict = "same"
+    elif wins >= 0.9 * len(base) and gain > iqr:
         verdict = "faster"
     elif losses >= 0.9 * len(base) and -gain > iqr:
         verdict = "slower"
