@@ -90,3 +90,22 @@ def test_uncommitted_changes_to_tracked_files_are_refused_by_name(tmp_path):
     assert "error: uncommitted changes to tracked files: core.py; " in proc.stderr
     assert not (repo / "layers.json").exists()
     assert len(git(repo, "worktree", "list").splitlines()) == 1
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+@pytest.mark.parametrize("out", ["missing/layers.json", "core.py/layers.json", "tools"])
+def test_an_unwritable_out_is_refused_before_any_checkout(tmp_path, out):
+    repo = tmp_path / "repo"
+    (repo / "tools").mkdir(parents=True)
+    for name in ("bench_layers.py", "bench_pairs.py"):
+        shutil.copy(TOOLS / name, repo / "tools" / name)
+    (repo / "core.py").write_text("x = 1\n")
+    git(repo, "init", "-q")
+    git(repo, "add", ".")
+    git(repo, "commit", "-q", "-m", "base")
+    argv = [sys.executable, "tools/bench_layers.py", "--base", "HEAD", "--rounds", "1",
+            "--out", out]
+    proc = subprocess.run(argv, cwd=repo, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert f"error: --out {out}: not a file in a writable directory" in proc.stderr
+    assert len(git(repo, "worktree", "list").splitlines()) == 1

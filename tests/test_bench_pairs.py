@@ -149,3 +149,107 @@ def test_uncommitted_changes_to_tracked_files_are_refused_by_name(tmp_path):
     assert bench_pairs.tracked_changes(repo) == ["core.py"]
     git(repo, "commit", "-q", "-am", "head")
     assert bench_pairs.tracked_changes(repo) == []
+
+
+@pytest.mark.parametrize("n", [1, 9])
+def test_under_10_pairs_only_a_loss_past_the_bound_is_read(n):
+    base = BASE[:n]
+    assert bench_pairs.summarize(RUN_S, base, [b * 0.8 for b in base])["verdict"] == "same"
+    assert bench_pairs.summarize(RUN_S, base, [b * 1.05 for b in base])["verdict"] == "same"
+    assert bench_pairs.summarize(RUN_S, base, [b * 1.3 for b in base])["verdict"] == "worse"
+
+
+def commit(repo: Path, files: dict, message: str) -> None:
+    for name, text in files.items():
+        (repo / name).parent.mkdir(parents=True, exist_ok=True)
+        (repo / name).write_text(text)
+    git(repo, "add", ".")
+    git(repo, "commit", "-q", "-m", message)
+
+
+def tool_repo(tmp_path: Path, files: dict) -> Path:
+    """A git repository holding the tool, BENCHMARK.json and `files`, committed."""
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    git(repo, "init", "-q")
+    commit(repo, {"tools/bench_pairs.py": TOOL.read_text(),
+                  "BENCHMARK.json": TOOL.parents[1].joinpath("BENCHMARK.json").read_text(),
+                  **files}, "base")
+    return repo
+
+
+def run_tool(repo: Path, *args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "tools/bench_pairs.py", "--workload", "train-toy",
+                           *args], cwd=repo, capture_output=True, text=True)
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+@pytest.mark.parametrize("option, value, reason", [
+    ("--out", "missing/bench.json", "not a file in a writable directory"),
+    ("--out", "core.py/bench.json", "not a file in a writable directory"),
+    ("--out", "tools", "not a file in a writable directory"),
+    ("--base", "no-such-rev", "not a commit git knows"),
+], ids=["missing-parent", "file-parent", "directory", "unknown-base"])
+def test_an_unwritable_out_or_an_unknown_revision_is_refused_before_any_checkout(
+        tmp_path, option, value, reason):
+    repo = tool_repo(tmp_path, {"core.py": "x = 1\n"})
+    args = {"--base": "HEAD", "--seeds": "1", "--out": "bench.json", option: value}
+    proc = run_tool(repo, *[word for item in args.items() for word in item])
+    assert proc.returncode == 2
+    assert f"error: {option} {value}: {reason}" in proc.stderr
+    assert not (repo / "bench.json").exists()
+    assert len(git(repo, "worktree", "list").splitlines()) == 1
+
+
+# A stand-in for perfbench/run.py: it writes its work directory at once and
+# prints LINE as its last line.
+STUB = """import json, pathlib, sys
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+work = pathlib.Path(".perfbench-runs", f"{args['--workload']}-seed{args['--seed']}")
+work.mkdir(parents=True)
+(work / "spec.json").write_text(args["--seed"])
+(work / "result.json").write_text(json.dumps({"environment": {"python": "stub"}}))
+print(LINE)
+"""
+END_TO_END = [m["name"] for m in
+              json.loads(TOOL.parents[1].joinpath("BENCHMARK.json").read_text())["end_to_end"]]
+
+
+def result_line(run_s: float) -> str:
+    metrics = {name: {"value": run_s if name == "run_s" else 1.0} for name in END_TO_END}
+    return json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": metrics})
+
+
+def stub_repo(tmp_path: Path, head_line: str) -> Path:
+    """A base commit whose stub reads `run_s` 1.0, and a head commit whose
+    stub prints `head_line`."""
+    repo = tool_repo(tmp_path, {"perfbench/run.py": STUB.replace("LINE", repr(result_line(1.0)))})
+    commit(repo, {"perfbench/run.py": STUB.replace("LINE", repr(head_line))}, "head")
+    return repo
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_a_run_writes_every_pair_and_reads_a_gain_in_2_pairs_as_the_same(tmp_path):
+    repo = stub_repo(tmp_path, result_line(0.5))
+    proc = run_tool(repo, "--base", "HEAD~1", "--seeds", "1-2", "--out", "bench.json")
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads((repo / "bench.json").read_text())
+    assert report["base"]["commit"] == git(repo, "rev-parse", "HEAD~1").strip()
+    result = report["workloads"]["train-toy"]
+    assert result["failed_runs"] == {"base": 0, "head": 0}
+    assert result["lock_identical"] and len(result["runs"]) == 2
+    assert (result["metrics"]["run_s"]["wins"], result["metrics"]["run_s"]["gain"]) == (2, 0.5)
+    assert {m["verdict"] for m in result["metrics"].values()} == {"same"}
+    assert len(git(repo, "worktree", "list").splitlines()) == 1
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_a_run_that_prints_no_result_line_is_a_failed_run(tmp_path):
+    repo = stub_repo(tmp_path, "not json")
+    proc = run_tool(repo, "--base", "HEAD~1", "--seeds", "1", "--out", "bench.json")
+    assert proc.returncode == 1
+    result = json.loads((repo / "bench.json").read_text())["workloads"]["train-toy"]
+    assert result["failed_runs"] == {"base": 0, "head": 1}
+    assert result["runs"][0]["base"]["ok"] and not result["runs"][0]["head"]["ok"]
+    assert "JSONDecodeError" in result["runs"][0]["head"]["error"][0]
+    assert len(git(repo, "worktree", "list").splitlines()) == 1

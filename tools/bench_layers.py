@@ -3,9 +3,8 @@
 
     python3 tools/bench_layers.py --base HEAD~1 --rounds 25 --out BENCH-layers.json
 
-Both revisions are checked out as `tools/bench_pairs.py` checks them out
-(`--head` defaults to `HEAD`; uncommitted changes to tracked files are
-refused, naming them). One child process per tree imports that tree's
+`--base`, `--head`, `--out`, their refusals and the checkouts are those
+of `tools/bench_pairs.py`. One child process per tree imports that tree's
 `trafficlab` (`PYTHONPATH=<tree>/src`, one BLAS thread) and builds every
 layer below from the same seeds. Each round, both children rebuild every
 layer, each behind a pad whose size the round seeds (see `build_layers`),
@@ -25,11 +24,11 @@ phase change every 30 s.
 
 The JSON written to `--out` holds, per layer, the time per call of each
 side (median and quartiles of the round minimums, in µs), the median of the
-per-round ratios head / base, the rounds the head won, a verdict, and
-whether both trees returned identical outputs: a digest of what the layer
-returned (or left in its state) on a fresh seeded run, taken at every
-build, which must be the same in every round on both sides. The exit status
-is 1 if any layer's outputs differ.
+per-round ratios head / base, the rounds the head won, `bench_pairs`'
+verdict, and whether both trees returned identical outputs: a digest of
+what the layer returned (or left in its state) on a fresh seeded run, taken
+at every build, which must be the same in every round on both sides. The
+exit status is 1 if any layer's outputs differ.
 """
 
 from __future__ import annotations
@@ -49,13 +48,16 @@ import numpy as np
 
 TOOLS = Path(__file__).resolve().parent
 sys.path[:0] = [str(TOOLS), str(TOOLS.parent)]
-from bench_pairs import checkouts, git, quartiles, tracked_changes  # noqa: E402
+import bench_pairs  # noqa: E402
 
 # Runs per side, per layer, per round; a round keeps each side's fastest.
 REPEATS = 10
 TICKS = 600
 # (in_dim, n_actions) of train-grid-mdp's and train-toy's nets.
 GRID_NET, TOY_NET = (40, 8), (14, 2)
+# A layer's time as `bench_pairs.summarize` reads it: only differing outputs fail a run.
+LAYER_METRIC = {"unit": "us", "better": "lower", "bound": float("inf")}
+VERDICTS = {"better": "faster", "worse within bound": "slower"}
 
 
 def _digest(values) -> str:
@@ -292,30 +294,16 @@ class Child:
 
 
 def summarize(base: list[float], head: list[float]) -> dict:
-    """One layer's round minimums, in seconds per call, as µs, and the median
-    of the per-round ratios head / base. Over at least 10 rounds, the
-    verdict is "faster" when the head wins at least 9 of 10 rounds and its
-    median is lower by more than the base's IQR, and "slower" for the
-    mirror; it is "same" otherwise, and always over fewer rounds."""
-    qb = [q * 1e6 for q in quartiles(base)]
-    qh = [q * 1e6 for q in quartiles(head)]
-    wins = sum(h < b for b, h in zip(base, head))
-    losses = sum(h > b for b, h in zip(base, head))
-    iqr, gain = qb[2] - qb[0], qb[1] - qh[1]
-    if len(base) < 10:
-        verdict = "same"
-    elif wins >= 0.9 * len(base) and gain > iqr:
-        verdict = "faster"
-    elif losses >= 0.9 * len(base) and -gain > iqr:
-        verdict = "slower"
-    else:
-        verdict = "same"
+    """One layer's round minimums, in seconds per call, as µs read by
+    `bench_pairs.summarize` ("faster" for its "better", "slower" for its
+    "worse within bound"), and the median of the per-round ratios head / base."""
+    m = bench_pairs.summarize(LAYER_METRIC, [t * 1e6 for t in base], [t * 1e6 for t in head])
     return {
-        "unit": "us", "base_median": qb[1], "head_median": qh[1],
-        "base_quartiles": [qb[0], qb[2]], "head_quartiles": [qh[0], qh[2]],
-        "wins": wins, "rounds": len(base), "gain": gain, "base_iqr": iqr,
+        "unit": m["unit"], "base_median": m["base_median"], "head_median": m["head_median"],
+        "base_quartiles": m["base_quartiles"], "head_quartiles": m["head_quartiles"],
+        "wins": m["wins"], "rounds": m["pairs"], "gain": m["gain"], "base_iqr": m["base_iqr"],
         "median_ratio": statistics.median(h / b for b, h in zip(base, head)),
-        "verdict": verdict,
+        "verdict": VERDICTS.get(m["verdict"], m["verdict"]),
     }
 
 
@@ -357,24 +345,12 @@ def measure(trees: dict, rounds: int) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--base", required=True, help="the git revision to compare against")
-    parser.add_argument("--head", default="HEAD", help="the git revision to measure")
     parser.add_argument("--rounds", type=int, default=25, help="interleaved rounds (default 25)")
-    parser.add_argument("--out", required=True, help="the JSON report to write")
-    args = parser.parse_args(argv)
+    args, report = bench_pairs.parse_args(parser, argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
-    changed = tracked_changes()
-    if changed:
-        parser.error(f"uncommitted changes to tracked files: {', '.join(changed)}; "
-                     "commit them first")
-
-    report = {
-        "base": {"rev": args.base, "commit": git("rev-parse", args.base)},
-        "head": {"rev": args.head, "commit": git("rev-parse", args.head)},
-        "rounds": args.rounds,
-    }
-    with checkouts(args.base, args.head) as (base, head):
+    report["rounds"] = args.rounds
+    with bench_pairs.checkouts(args.base, args.head) as (base, head):
         report.update(measure({"base": base, "head": head}, args.rounds))
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     for name, m in report["layers"].items():

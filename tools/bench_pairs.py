@@ -4,8 +4,9 @@
     python3 tools/bench_pairs.py --base 604e8c9 --workload train-toy --seeds 1-10 --out BENCH.json
 
 `--workload` may be given more than once. `--head` defaults to `HEAD`, so
-commit the change to measure: a working tree with uncommitted changes to
-tracked files is refused, naming them. Both revisions are checked out alike,
+commit the change to measure. Before any checkout, `parse_args` refuses an
+`--out` that cannot be written, an unknown revision and uncommitted changes
+to tracked files, naming them. Both revisions are checked out alike,
 with `git worktree add` into sibling temporary directories whose paths have
 the same length, and removed afterwards; the two sides differ only in their
 commits. There is one pair per seed: it runs each tree's own, unchanged
@@ -15,7 +16,8 @@ commits. There is one pair per seed: it runs each tree's own, unchanged
 The JSON written to `--out` holds, for each workload and each end-to-end
 metric of BENCHMARK.json, both trees' medians and quartiles, the pairs the
 head won, the gap between the medians against the base's IQR, and a
-verdict. It records the measuring process's Python, numpy and BLAS versions,
+verdict (`summarize`). A run that exits non-zero or leaves no result has
+failed. It records the measuring process's Python, numpy and BLAS versions,
 BLAS thread count and `nproc`. It also holds the behaviour lock of every
 pair: the seeded outputs both trees wrote, compared byte for byte; see
 `lock_diffs`. The exit status is 1 if a run failed, a metric is worse than
@@ -28,6 +30,7 @@ import argparse
 import contextlib
 import csv
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -38,6 +41,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 # The job outputs a workload's work directory may hold, beside its input documents.
 JOB_OUTPUTS = ("compare.csv", "run/metrics.csv", "run/best.npz")
+MIN_PAIRS = 10  # fewer cannot tell a gain from the host's drift
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -97,12 +101,11 @@ def quartiles(values: list[float]) -> list[float]:
 
 
 def summarize(metric: dict, base: list[float], head: list[float]) -> dict:
-    """One metric over paired runs (`base[k]` beside `head[k]`). `gain` is how
-    far the head's median is better than the base's, in the metric's
-    unit. The verdict is "worse" past the metric's relative bound; "better"
-    when at least 9 of 10 pairs are won and the gain exceeds the base's IQR;
-    "worse within bound" when at least 9 of 10 are lost and the loss exceeds
-    that IQR; and "same" otherwise."""
+    """One metric over paired runs (`base[k]` beside `head[k]`), `gain` being
+    how far the head's median is better than the base's. The verdict is
+    "worse" past the metric's relative bound, at any count; else, over fewer
+    than MIN_PAIRS pairs, "same"; else "better" at 9 of 10 pairs won and a
+    gain past the base's IQR, "worse within bound" for the mirror, or "same"."""
     sign = 1 if metric["better"] == "lower" else -1
     wins = sum(sign * (b - h) > 0 for b, h in zip(base, head))
     losses = sum(sign * (h - b) > 0 for b, h in zip(base, head))
@@ -111,6 +114,8 @@ def summarize(metric: dict, base: list[float], head: list[float]) -> dict:
     gain = sign * (qb[1] - qh[1])
     if -gain > metric["bound"] * abs(qb[1]):
         verdict = "worse"
+    elif len(base) < MIN_PAIRS:
+        verdict = "same"
     elif wins >= 0.9 * len(base) and gain > iqr:
         verdict = "better"
     elif losses >= 0.9 * len(base) and -gain > iqr:
@@ -129,20 +134,24 @@ def summarize(metric: dict, base: list[float], head: list[float]) -> dict:
 
 def run_perfbench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One `perfbench/run.py` run in `tree`: its result line and the
-    measuring process's environment, or the error it ended with."""
+    measuring process's environment, or the error it ended with. A run that
+    exits 0 without a result line or a `result.json` has failed too."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         return {"ok": False, "error": proc.stderr.strip().splitlines()[-1:]}
-    line = json.loads(proc.stdout.strip().splitlines()[-1])
-    result = json.loads((work_dir(tree, workload, seed) / "result.json").read_text("utf-8"))
-    return {
-        "ok": line["correct"] is True and line["failed"] == 0,
-        "attempted": line["attempted"], "failed": line["failed"],
-        "metrics": {name: m["value"] for name, m in line["metrics"].items()},
-        "environment": result["environment"],
-    }
+    try:
+        line = json.loads(proc.stdout.strip().splitlines()[-1])
+        result = json.loads((work_dir(tree, workload, seed) / "result.json").read_text("utf-8"))
+        return {
+            "ok": line["correct"] is True and line["failed"] == 0,
+            "attempted": line["attempted"], "failed": line["failed"],
+            "metrics": {name: m["value"] for name, m in line["metrics"].items()},
+            "environment": result["environment"],
+        }
+    except (IndexError, KeyError, TypeError, ValueError, OSError) as exc:
+        return {"ok": False, "error": [f"no result: {type(exc).__name__}: {exc}"]}
 
 
 def work_dir(tree: Path, workload: str, seed: int) -> Path:
@@ -158,6 +167,34 @@ def tracked_changes(root: Path = ROOT) -> list[str]:
     """The tracked files of the working tree at `root` with uncommitted
     changes, staged or not."""
     return git("diff", "--name-only", "HEAD", cwd=root).splitlines()
+
+
+def parse_args(parser: argparse.ArgumentParser, argv=None):
+    """`(args, header)`: `argv` parsed by `parser` plus the options both A/B
+    tools share, and the report's `base` and `head` (rev and commit). Refused
+    with exit status 2, before any checkout: an `--out` that cannot be
+    written, so no run is lost at the end; a revision git does not know; and
+    uncommitted changes to tracked files, which neither side would measure."""
+    parser.add_argument("--base", required=True, help="the git revision to compare against")
+    parser.add_argument("--head", default="HEAD", help="the git revision to measure")
+    parser.add_argument("--out", required=True, help="the JSON report to write")
+    args = parser.parse_args(argv)
+    out = Path(args.out)
+    if out.is_dir() or not out.parent.is_dir() or not os.access(out.parent, os.W_OK):
+        parser.error(f"--out {args.out}: not a file in a writable directory")
+    header = {}
+    for side in ("base", "head"):
+        rev = getattr(args, side)
+        try:
+            commit = git("rev-parse", "--verify", f"{rev}^{{commit}}")
+        except subprocess.CalledProcessError:
+            parser.error(f"--{side} {rev}: not a commit git knows")
+        header[side] = {"rev": rev, "commit": commit}
+    changed = tracked_changes()
+    if changed:
+        parser.error(f"uncommitted changes to tracked files: {', '.join(changed)}; "
+                     "commit them first")
+    return args, header
 
 
 @contextlib.contextmanager
@@ -215,25 +252,10 @@ def main(argv=None) -> int:
     names = [w["name"] for w in benchmark["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--base", required=True, help="the git revision to compare against")
-    parser.add_argument("--head", default="HEAD", help="the git revision to measure")
     parser.add_argument("--workload", action="append", required=True, choices=names)
     parser.add_argument("--seeds", type=parse_seeds, required=True, help="a-b, one pair per seed")
-    parser.add_argument("--out", required=True, help="the JSON report to write")
-    args = parser.parse_args(argv)
-    # Both sides run from commits, so changes not committed would be measured
-    # on neither.
-    changed = tracked_changes()
-    if changed:
-        parser.error(f"uncommitted changes to tracked files: {', '.join(changed)}; "
-                     "commit them first")
-
-    report = {
-        "base": {"rev": args.base, "commit": git("rev-parse", args.base)},
-        "head": {"rev": args.head, "commit": git("rev-parse", args.head)},
-        "seeds": args.seeds, "seconds": benchmark["run_seconds"],
-        "workloads": {},
-    }
+    args, report = parse_args(parser, argv)
+    report.update(seeds=args.seeds, seconds=benchmark["run_seconds"], workloads={})
     with checkouts(args.base, args.head) as (base, head):
         for workload in args.workload:
             report["workloads"][workload] = bench_workload(
