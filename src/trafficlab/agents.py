@@ -20,6 +20,12 @@ REPLAY_CAPACITY = 360_000
 # The most replay memory an agent may ask for, in bytes (16 GiB). At the default
 # capacity, an 8-lane `wads` state (40 inputs) takes about 240 MB.
 MAX_REPLAY_BYTES = 16 * 2**30
+# The rows a replay buffer allocates at its first transition, before the one
+# jump to its whole capacity. numpy backs an array of 4 MiB or more with huge
+# pages, so a run that writes one row past a 2 MiB boundary is charged the whole
+# 2 MiB page; at 4,096 rows the 40-input state-pair array is 2.6 MB, under that
+# size, and both training workloads of the benchmark fit in this first block.
+FIRST_ROWS = 4096
 
 
 @dataclass
@@ -55,15 +61,18 @@ class DQNConfig:
 class ReplayBuffer:
     """Ring buffer of transitions with uniform, with-replacement sampling.
 
-    `state` and `next_state` share one (capacity, 2, dim) array, so a sample
+    `state` and `next_state` share one (rows, 2, dim) array, so a sample
     gathers both with one fancy index; the arrays `sample` returns are views
-    of that fresh gather, which later calls do not touch.
+    of that fresh gather, which later calls do not touch. The first
+    transition allocates `min(capacity, FIRST_ROWS)` rows; once they are full
+    and the capacity is larger, the whole capacity is allocated once and the
+    stored rows copied over, so a long run holds one (capacity, 2, dim) array.
     """
 
+    _ARRAYS = ("_state_pairs", "_actions", "_rewards", "_durations", "_terminals")
+
     def __init__(self, capacity: int = REPLAY_CAPACITY):
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
+        self.capacity = require_integer("capacity", capacity, 1)
         self.count = 0
         self._state_pairs = None
         self._actions = None
@@ -74,17 +83,30 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return min(self.count, self.capacity)
 
-    def _allocate(self, dim: int) -> None:
-        self._state_pairs = np.empty((self.capacity, 2, dim), dtype=np.float64)
-        self._actions = np.empty(self.capacity, dtype=np.int64)
-        self._rewards = np.empty(self.capacity, dtype=np.float64)
-        self._durations = np.empty(self.capacity, dtype=np.int64)
-        self._terminals = np.empty(self.capacity, dtype=bool)
+    def _reserve(self, rows: int, dim: int) -> None:
+        """Give each array `rows` rows, keeping the `count` rows stored so far."""
+        arrays = (np.empty((rows, 2, dim), dtype=np.float64), np.empty(rows, dtype=np.int64),
+                  np.empty(rows, dtype=np.float64), np.empty(rows, dtype=np.int64),
+                  np.empty(rows, dtype=bool))
+        for name, new in zip(self._ARRAYS, arrays):
+            if self.count:
+                new[:self.count] = getattr(self, name)
+            setattr(self, name, new)
 
     def store(self, transition: Transition) -> None:
-        if self._state_pairs is None:
-            self._allocate(transition.state.shape[0])
+        """Store one transition; refused unless `state` and `next_state` are
+        each of shape (dim,), dim being the first transition's state size."""
+        pairs = self._state_pairs
+        want = (np.size(transition.state) if pairs is None else pairs.shape[2],)
+        for name in ("state", "next_state"):
+            shape = np.shape(getattr(transition, name))
+            if shape != want:
+                raise ValueError(f"{name} has shape {shape}, the replay buffer stores {want}")
         idx = self.count % self.capacity
+        if pairs is None:
+            self._reserve(min(self.capacity, FIRST_ROWS), want[0])
+        elif idx == len(pairs):  # the first block is full: the one jump to capacity
+            self._reserve(self.capacity, want[0])
         self._state_pairs[idx, 0] = transition.state
         self._actions[idx] = transition.action
         self._rewards[idx] = transition.reward
@@ -187,9 +209,9 @@ class DQNAgent:
             raise ValueError(f"replay_capacity {config.replay_capacity} is below the warmup of "
                              f"{config.warmup} transitions (2 x batch_size {config.batch_size}); "
                              "no update would ever run")
-        # The buffer allocates its whole capacity at the first transition: per
-        # transition two float64 states, an int64 action and duration, a
-        # float64 reward and a bool terminal.
+        # The cap counts the whole capacity the buffer reserves once its first
+        # block is full: per transition two float64 states, an int64 action
+        # and duration, a float64 reward and a bool terminal.
         needed = config.replay_capacity * (16 * in_dim + 25)
         if needed > MAX_REPLAY_BYTES:
             raise ValueError(f"replay_capacity {config.replay_capacity} needs {needed / 2**30:.3g} "

@@ -1,9 +1,11 @@
 """Replay buffer, action selection, TD targets, and checkpoint tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from trafficlab import qnet
+from trafficlab import agents, qnet
 from trafficlab.agents import (
     DQNAgent,
     DQNConfig,
@@ -178,6 +180,128 @@ class TestReplayBuffer:
         buf.store(make_transition())
         with pytest.raises(ValueError):
             buf.sample(2, np.random.default_rng(0))
+
+
+def seeded_transitions(n, dim, seed=0):
+    rng = np.random.default_rng(seed)
+    states, next_states = rng.random((n, dim)), rng.random((n, dim))
+    rewards = rng.standard_normal(n)
+    return [Transition(states[k], k % 3, float(rewards[k]), next_states[k], k % 4 + 1,
+                       k % 5 == 0) for k in range(n)]
+
+
+class WholeRing:
+    """A replay ring allocated whole at its first transition, as the buffer
+    was before it grew from a first block: the reference for its rows and
+    samples."""
+
+    def __init__(self, capacity, dim):
+        self.capacity, self.count = capacity, 0
+        self.pairs = np.empty((capacity, 2, dim))
+        self.columns = (np.empty(capacity, dtype=np.int64), np.empty(capacity),
+                        np.empty(capacity, dtype=np.int64), np.empty(capacity, dtype=bool))
+
+    def store(self, t):
+        idx = self.count % self.capacity
+        self.pairs[idx] = t.state, t.next_state
+        for column, value in zip(self.columns, (t.action, t.reward, t.duration, t.terminal)):
+            column[idx] = value
+        self.count += 1
+
+    def sample(self, n, rng):
+        idx = rng.integers(0, min(self.count, self.capacity), size=n)
+        actions, rewards, durations, terminals = (column[idx] for column in self.columns)
+        return (self.pairs[idx, 0], actions, rewards, self.pairs[idx, 1], durations, terminals)
+
+
+class TestReplayGrowth:
+    def test_100_stored_transitions_trace_under_4_mib(self):
+        agent = DQNAgent(40, 8, DQNConfig())
+        transitions = seeded_transitions(100, 40)
+        tracemalloc.start()
+        try:
+            for t in transitions:
+                agent.buffer.store(t)
+            traced, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert traced < 4 * 2**20
+
+    @pytest.mark.parametrize("capacity", [5_000, 4_200], ids=["crosses", "wraps-after"])
+    def test_rows_and_samples_match_a_ring_allocated_whole(self, capacity):
+        dim, stored = 5, 4_500
+        assert capacity > agents.FIRST_ROWS
+        buf, ref = ReplayBuffer(capacity), WholeRing(capacity, dim)
+        for t in seeded_transitions(stored, dim):
+            buf.store(t)
+            ref.store(t)
+        size = min(stored, capacity)
+        assert len(buf) == size
+        got = (buf._state_pairs, buf._actions, buf._rewards, buf._durations, buf._terminals)
+        for have, want in zip(got, (ref.pairs, *ref.columns)):
+            assert have.dtype == want.dtype
+            assert have[:size].tobytes() == want[:size].tobytes()
+        rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+        for n in (1, 32, 512):
+            for have, want in zip(buf.sample(n, rng), ref.sample(n, ref_rng)):
+                assert have.dtype == want.dtype and have.shape == want.shape
+                assert have.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_a_long_run_holds_one_capacity_array_allocated_once(self, monkeypatch):
+        capacity, dim = 5_000, 3
+        requested = []
+        real_empty = np.empty
+
+        def recording_empty(shape, *args, **kwargs):
+            requested.append(np.atleast_1d(shape)[0])
+            return real_empty(shape, *args, **kwargs)
+
+        transitions = seeded_transitions(4_500, dim)
+        buf = ReplayBuffer(capacity)
+        monkeypatch.setattr(np, "empty", recording_empty)
+        for t in transitions:
+            buf.store(t)
+        monkeypatch.undo()
+        assert requested == [agents.FIRST_ROWS] * 5 + [capacity] * 5
+        assert buf._state_pairs.shape == (capacity, 2, dim)
+        assert [len(a) for a in (buf._actions, buf._rewards, buf._durations,
+                                 buf._terminals)] == [capacity] * 4
+
+    def test_a_small_capacity_is_allocated_whole_at_the_first_transition(self):
+        buf = ReplayBuffer(capacity=10)
+        buf.store(make_transition(dim=3))
+        assert buf._state_pairs.shape == (10, 2, 3)
+
+
+class TestReplayRefusals:
+    @pytest.mark.parametrize("field", ["state", "next_state"])
+    def test_a_transition_of_another_size_is_refused_before_anything_is_written(self, field):
+        buf = ReplayBuffer(capacity=8)
+        buf.store(make_transition(dim=4))
+        kept = buf._state_pairs.copy()
+        values = {"state": np.zeros(4), "next_state": np.zeros(4), field: np.array([7.0])}
+        with pytest.raises(ValueError, match=rf"^{field} has shape \(1,\), the replay buffer "
+                                             r"stores \(4,\)$"):
+            buf.store(Transition(values["state"], 1, 0.0, values["next_state"], 1, False))
+        assert buf.count == 1 and len(buf) == 1
+        np.testing.assert_array_equal(buf._state_pairs, kept)
+
+    def test_a_first_state_that_is_not_one_row_is_refused(self):
+        buf = ReplayBuffer(capacity=8)
+        with pytest.raises(ValueError, match=r"^state has shape \(2, 3\), the replay buffer "
+                                             r"stores \(6,\)$"):
+            buf.store(Transition(np.zeros((2, 3)), 0, 0.0, np.zeros(6), 1, False))
+        assert buf.count == 0 and buf._state_pairs is None
+
+    @pytest.mark.parametrize("capacity", [2.5, True, "8"])
+    def test_a_capacity_that_is_not_an_integer_is_refused_by_name(self, capacity):
+        with pytest.raises(ValueError, match=rf"^capacity must be an integer, got {capacity!r}$"):
+            ReplayBuffer(capacity)
+
+    def test_a_capacity_below_1_is_refused_by_name(self):
+        with pytest.raises(ValueError, match=r"^capacity must be at least 1, got 0$"):
+            ReplayBuffer(0)
 
 
 class TestTdTargets:

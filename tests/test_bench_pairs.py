@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import zipfile
+from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
@@ -253,3 +254,24 @@ def test_a_run_that_prints_no_result_line_is_a_failed_run(tmp_path):
     assert result["runs"][0]["base"]["ok"] and not result["runs"][0]["head"]["ok"]
     assert "JSONDecodeError" in result["runs"][0]["head"]["error"][0]
     assert len(git(repo, "worktree", "list").splitlines()) == 1
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_each_run_records_when_it_started_and_its_median_host_calibration(tmp_path):
+    calibrated = STUB.replace('{"python": "stub"}}',
+                              '{"python": "stub"}, "calibrations_s": [0.3, 0.1, 0.2]}')
+    assert calibrated != STUB
+    repo = tool_repo(tmp_path, {"perfbench/run.py": STUB.replace("LINE", repr(result_line(1.0)))})
+    commit(repo, {"perfbench/run.py": calibrated.replace("LINE", repr(result_line(1.0)))}, "head")
+    before = datetime.now(timezone.utc).replace(microsecond=0)
+    proc = run_tool(repo, "--base", "HEAD~1", "--seeds", "1-2", "--out", "bench.json")
+    after = datetime.now(timezone.utc)
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads((repo / "bench.json").read_text())["workloads"]["train-toy"]["runs"]
+    for pair in runs:
+        assert pair["base"]["ok"] and pair["base"]["calibration_s"] is None
+        assert pair["head"]["ok"] and pair["head"]["calibration_s"] == 0.2
+        started = {side: datetime.fromisoformat(pair[side]["started"]) for side in ("base", "head")}
+        assert all(before <= t <= after and t.tzinfo is not None for t in started.values())
+        second = "head" if pair["first"] == "base" else "base"
+        assert started[pair["first"]] <= started[second]

@@ -17,8 +17,10 @@ The JSON written to `--out` holds, for each workload and each end-to-end
 metric of BENCHMARK.json, both trees' medians and quartiles, the pairs the
 head won, the gap between the medians against the base's IQR, and a
 verdict (`summarize`). A run that exits non-zero or leaves no result has
-failed. It records the measuring process's Python, numpy and BLAS versions,
-BLAS thread count and `nproc`. It also holds the behaviour lock of every
+failed. Each run records when it started (UTC) and the median of its host
+calibrations, so drift of the host over the pairs shows in the report. It
+records the measuring process's Python, numpy and BLAS versions, BLAS thread
+count and `nproc`. It also holds the behaviour lock of every
 pair: the seeded outputs both trees wrote, compared byte for byte; see
 `lock_diffs`. The exit status is 1 if a run failed, a metric is worse than
 its bound or the lock found a difference.
@@ -36,6 +38,7 @@ import subprocess
 import sys
 import tempfile
 import zipfile
+from datetime import datetime, timezone
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -133,25 +136,33 @@ def summarize(metric: dict, base: list[float], head: list[float]) -> dict:
 
 
 def run_perfbench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One `perfbench/run.py` run in `tree`: its result line and the
-    measuring process's environment, or the error it ended with. A run that
-    exits 0 without a result line or a `result.json` has failed too."""
+    """One `perfbench/run.py` run in `tree`: its start time, its result line
+    and the measuring process's environment, or the error it ended with. A
+    run that exits 0 without a result line or a `result.json` has failed too.
+    `calibration_s` is the median of the run's host calibrations, so a report
+    shows the host's drift across the pairs; it is None if `result.json`
+    holds none."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
+    started = datetime.now(timezone.utc).isoformat(timespec="seconds")
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
-        return {"ok": False, "error": proc.stderr.strip().splitlines()[-1:]}
+        return {"ok": False, "started": started, "error": proc.stderr.strip().splitlines()[-1:]}
     try:
         line = json.loads(proc.stdout.strip().splitlines()[-1])
         result = json.loads((work_dir(tree, workload, seed) / "result.json").read_text("utf-8"))
+        calibrations = result.get("calibrations_s")
         return {
             "ok": line["correct"] is True and line["failed"] == 0,
+            "started": started,
+            "calibration_s": statistics.median(calibrations) if calibrations else None,
             "attempted": line["attempted"], "failed": line["failed"],
             "metrics": {name: m["value"] for name, m in line["metrics"].items()},
             "environment": result["environment"],
         }
     except (IndexError, KeyError, TypeError, ValueError, OSError) as exc:
-        return {"ok": False, "error": [f"no result: {type(exc).__name__}: {exc}"]}
+        return {"ok": False, "started": started,
+                "error": [f"no result: {type(exc).__name__}: {exc}"]}
 
 
 def work_dir(tree: Path, workload: str, seed: int) -> Path:
