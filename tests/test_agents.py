@@ -1,5 +1,6 @@
 """Replay buffer, action selection, TD targets, and checkpoint tests."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -268,24 +269,18 @@ class TestReplayGrowth:
         assert [len(a) for a in (buf._actions, buf._rewards, buf._durations,
                                  buf._terminals)] == [capacity] * 4
 
-    def test_a_small_capacity_is_allocated_whole_at_the_first_transition(self):
-        buf = ReplayBuffer(capacity=10)
-        buf.store(make_transition(dim=3))
-        assert buf._state_pairs.shape == (10, 2, 3)
-
 
 class TestReplayRefusals:
     @pytest.mark.parametrize("field", ["state", "next_state"])
     def test_a_transition_of_another_size_is_refused_before_anything_is_written(self, field):
         buf = ReplayBuffer(capacity=8)
         buf.store(make_transition(dim=4))
-        kept = buf._state_pairs.copy()
+        kept = buf._state_pairs.tobytes()
         values = {"state": np.zeros(4), "next_state": np.zeros(4), field: np.array([7.0])}
         with pytest.raises(ValueError, match=rf"^{field} has shape \(1,\), the replay buffer "
                                              r"stores \(4,\)$"):
             buf.store(Transition(values["state"], 1, 0.0, values["next_state"], 1, False))
-        assert buf.count == 1 and len(buf) == 1
-        np.testing.assert_array_equal(buf._state_pairs, kept)
+        assert buf.count == 1 and buf._state_pairs.tobytes() == kept
 
     def test_a_first_state_that_is_not_one_row_is_refused(self):
         buf = ReplayBuffer(capacity=8)
@@ -294,14 +289,15 @@ class TestReplayRefusals:
             buf.store(Transition(np.zeros((2, 3)), 0, 0.0, np.zeros(6), 1, False))
         assert buf.count == 0 and buf._state_pairs is None
 
-    @pytest.mark.parametrize("capacity", [2.5, True, "8"])
-    def test_a_capacity_that_is_not_an_integer_is_refused_by_name(self, capacity):
-        with pytest.raises(ValueError, match=rf"^capacity must be an integer, got {capacity!r}$"):
+    @pytest.mark.parametrize("capacity, reason", [
+        (2.5, "must be an integer, got 2.5"),
+        (True, "must be an integer, got True"),
+        ("8", "must be an integer, got '8'"),
+        (0, "must be at least 1, got 0"),
+    ])
+    def test_a_capacity_that_is_not_a_positive_integer_is_refused_by_name(self, capacity, reason):
+        with pytest.raises(ValueError, match=f"^capacity {re.escape(reason)}$"):
             ReplayBuffer(capacity)
-
-    def test_a_capacity_below_1_is_refused_by_name(self):
-        with pytest.raises(ValueError, match=r"^capacity must be at least 1, got 0$"):
-            ReplayBuffer(0)
 
 
 class TestTdTargets:
